@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .burning import coverage
 from .errors import RejectedInputError
 from .graph import UNREACHED, Graph, _bfs
 
@@ -75,7 +76,7 @@ def burn_3approx(G: Graph, x1: int | None = None) -> ApproxResult:
     sequence = [start]
     trace: list[tuple[int, int, int]] = []
     while True:
-        covered = _covered_count(G, sequence)
+        covered = len(coverage(G, sequence))
         if covered == G.n:
             break
         length = len(sequence)
@@ -90,11 +91,3 @@ def _prefix_bound(length: int) -> int:
     """Lower bound certified by a failing prefix of this length."""
     return -(-length // 3) + 1
 
-
-def _covered_count(G: Graph, sequence) -> int:
-    k = len(sequence)
-    covered = set()
-    for i, x in enumerate(sequence):
-        dist = _bfs(G.adjacency, x, limit=k - i - 1)
-        covered.update(v for v, d in enumerate(dist) if d != UNREACHED)
-    return len(covered)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidSequenceError, RejectedInputError
-from .graph import UNREACHED, Graph, _bfs
+from .graph import Graph, _ball
 
 
 @dataclass(frozen=True)
@@ -56,43 +56,62 @@ def simulate(G: Graph, sequence) -> BurnOutcome:
     S = _check_sequence(G, sequence)
     burn_step: list[int | None] = [None] * G.n
     labels: list[str | None] = [None] * G.n
-    burned: set[int] = set()
+    burned = 0
+    # Vertices that burned in the previous round.  Anything burned earlier
+    # already has every neighbour burned, so only these can spread.
+    frontier: list[int] = []
     first_violation: tuple[int, str] | None = None
     for step, source in enumerate(S, start=1):
-        previously_burned = frozenset(burned)
-        if source in previously_burned:
+        reached = []
+        if burn_step[source] is not None:
             if first_violation is None:
                 first_violation = (step, f"source {source} already burned")
         else:
-            burned.add(source)
             burn_step[source] = step
             labels[source] = "a"
-        if step > 1:
-            for v in previously_burned:
-                for u in G.adjacency[v]:
-                    if u not in burned:
-                        burned.add(u)
-                        burn_step[u] = step
-                        labels[u] = "b"
+            reached.append(source)
+        for v in frontier:
+            for u in G.adjacency[v]:
+                if burn_step[u] is None:
+                    burn_step[u] = step
+                    labels[u] = "b"
+                    reached.append(u)
+        burned += len(reached)
+        frontier = reached
     schedule = BurnSchedule(S, tuple(burn_step), tuple(labels))
     return BurnOutcome(
         valid=first_violation is None,
-        complete=len(burned) == G.n,
+        complete=burned == G.n,
         schedule=schedule,
         first_violation=first_violation,
     )
 
 
-def coverage(G: Graph, sequence) -> set[int]:
-    """Union of the k balls a k-round run reaches: radius k-i around source i."""
+def _balls(G: Graph, sequence) -> tuple[tuple[int, ...], list[dict[int, int]]]:
+    """The sequence and, per source i (0-based), its radius k-i-1 ball with distances."""
     S = _check_sequence(G, sequence)
     k = len(S)
-    covered: set[int] = set()
-    for i, source in enumerate(S):
-        radius = k - i - 1
-        dist = _bfs(G.adjacency, source, limit=radius)
-        covered.update(v for v, d in enumerate(dist) if d != UNREACHED)
-    return covered
+    return S, [_ball(G.adjacency, (source,), k - i - 1) for i, source in enumerate(S)]
+
+
+def _burns(n: int, S: tuple[int, ...], balls: list[dict[int, int]]) -> bool:
+    """The closed form of burning, on the balls of ``_balls``.
+
+    The balls cover all n vertices, and no source x_j lies within distance
+    j-i-1 of an earlier source x_i (it would already be burned when placed).
+    """
+    for i, ball in enumerate(balls):
+        for j in range(i + 1, len(S)):
+            d = ball.get(S[j])
+            if d is not None and d < j - i:
+                return False
+    return len(set().union(*balls)) == n
+
+
+def coverage(G: Graph, sequence) -> set[int]:
+    """Union of the k balls a k-round run reaches: radius k-i around source i."""
+    _, balls = _balls(G, sequence)
+    return set().union(*balls)
 
 
 def covers_all(G: Graph, sequence) -> bool:
@@ -107,32 +126,13 @@ def verify(G: Graph, sequence) -> bool:
     source sits inside an earlier source's forbidden ball (which would mean
     it was already burned when placed).
     """
-    S = _check_sequence(G, sequence)
-    k = len(S)
-    covered = bytearray(G.n)
-    reached = 0
-    for i, source in enumerate(S):
-        radius = k - i - 1
-        dist = _bfs(G.adjacency, source, limit=radius)
-        for j in range(i + 1, k):
-            d = dist[S[j]]
-            if d != UNREACHED and d <= j - i - 1:
-                return False
-        for v, d in enumerate(dist):
-            if d != UNREACHED and not covered[v]:
-                covered[v] = 1
-                reached += 1
-    return reached == G.n
+    S, balls = _balls(G, sequence)
+    return _burns(G.n, S, balls)
 
 
 def clusters(G: Graph, sequence) -> list[frozenset[int]]:
     """Per-source coverage balls of a valid sequence (radius k-i around source i)."""
-    S = _check_sequence(G, sequence)
-    if not verify(G, S):
+    S, balls = _balls(G, sequence)
+    if not _burns(G.n, S, balls):
         raise InvalidSequenceError("clusters are defined only for valid burning sequences")
-    k = len(S)
-    out = []
-    for i, source in enumerate(S):
-        dist = _bfs(G.adjacency, source, limit=k - i - 1)
-        out.append(frozenset(v for v, d in enumerate(dist) if d != UNREACHED))
-    return out
+    return [frozenset(ball) for ball in balls]

@@ -23,9 +23,10 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from . import approx, exact, families, formats, hardness, processes
-from .burning import simulate, verify
+from .burning import simulate
 from .errors import (
     BudgetError,
     BurnkitError,
@@ -35,6 +36,7 @@ from .errors import (
 )
 from .graph import (
     Graph,
+    _walk,
     components,
     disk_graph,
     from_edge_list,
@@ -54,11 +56,15 @@ def _int_list(text: str) -> list[int]:
         raise ParseError(f"bad integer list {text!r}") from exc
 
 
-def _load_graph(path: str, fmt: str) -> Graph:
+def _read(path: str) -> str:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def _load_graph(path: str, fmt: str) -> Graph:
+    text = _read(path)
     if fmt == "edges":
         return formats.parse_edge_list(text)
     if fmt == "intervals":
@@ -86,26 +92,26 @@ def _trace_linear(G: Graph, closed: bool) -> list[int]:
         if any(d > 2 for d in degrees) or (G.n > 1 and len(ends) != 2):
             raise RejectedInputError("graph is not a path")
         start = min(ends) if ends else 0
-    order = [start]
-    previous = None
-    current = start
-    while len(order) < G.n:
-        nxt = [u for u in G.adjacency[current] if u != previous]
-        if not nxt:
-            raise RejectedInputError("graph is not a single path or cycle")
-        previous, current = current, nxt[0]
-        order.append(current)
+    order = _walk(G.adjacency, start, G.n)
+    if len(order) != G.n:
+        raise RejectedInputError("graph is not a single path or cycle")
     return order
 
 
-def _emit(args, record: dict, dot: str | None = None) -> None:
+def _emit(args, record: dict, dot: Callable[[], str] | None = None) -> None:
+    """Write the record; ``dot`` renders the DOT view and runs only under --output dot."""
     if args.output == "json":
         sys.stdout.write(formats.dumps(record))
     elif args.output == "dot":
-        sys.stdout.write(dot if dot is not None else formats.dumps(record))
+        sys.stdout.write(dot() if dot is not None else formats.dumps(record))
     else:
         for key in sorted(record):
             sys.stdout.write(f"{key}: {record[key]}\n")
+
+
+def _burn_dot(G: Graph, outcome) -> str:
+    schedule = outcome.schedule
+    return formats.graph_to_dot(G, burn_step=schedule.burn_step, labels=schedule.labels)
 
 
 # -- burn ----------------------------------------------------------------------
@@ -117,7 +123,11 @@ def _run_burn_engine(args, G: Graph):
     if engine == "exact":
         budget = args.node_budget
         if budget is None and os.environ.get(NODE_BUDGET_ENV):
-            budget = int(os.environ[NODE_BUDGET_ENV])
+            value = os.environ[NODE_BUDGET_ENV]
+            try:
+                budget = int(value)
+            except ValueError as exc:
+                raise ParseError(f"{NODE_BUDGET_ENV} must be an integer, got {value!r}") from exc
         result = exact.burning_number_exact(G, node_budget=budget, workers=args.workers)
         extras["nodes_explored"] = result.nodes_explored
         return list(result.witness.sources), extras
@@ -168,7 +178,7 @@ def cmd_burn(args) -> int:
         "m": G.edge_count,
         "k": len(sequence),
         "sequence": list(sequence),
-        "valid": verify(G, sequence),
+        "valid": outcome.valid and outcome.complete,
         "complete": outcome.complete,
         "bounds": {
             "lower": exact.lower_bound(G),
@@ -178,10 +188,7 @@ def cmd_burn(args) -> int:
     record.update(extras)
     if args.timings:
         record["timings"] = {"seconds": elapsed}
-    dot = formats.graph_to_dot(
-        G, burn_step=outcome.schedule.burn_step, labels=outcome.schedule.labels
-    )
-    _emit(args, record, dot)
+    _emit(args, record, lambda: _burn_dot(G, outcome))
     return 0
 
 
@@ -191,7 +198,7 @@ def cmd_burn(args) -> int:
 def cmd_verify(args) -> int:
     G = _load_graph(args.input, args.format)
     if args.certificate is not None:
-        record_in = formats.load_certificate_record(Path(args.certificate).read_text())
+        record_in = formats.load_certificate_record(_read(args.certificate))
         sequence = record_in.get("canonical_sequence")
         if sequence is None:
             raise RejectedInputError("certificate carries no canonical sequence")
@@ -200,7 +207,7 @@ def cmd_verify(args) -> int:
     else:
         raise ParseError("verify needs --sequence or --certificate")
     outcome = simulate(G, sequence)
-    valid = verify(G, sequence)
+    valid = outcome.valid and outcome.complete
     record = {
         "command": "verify",
         "input": args.input,
@@ -211,10 +218,7 @@ def cmd_verify(args) -> int:
         "complete": outcome.complete,
         "outcome": formats.burn_outcome_record(outcome),
     }
-    dot = formats.graph_to_dot(
-        G, burn_step=outcome.schedule.burn_step, labels=outcome.schedule.labels
-    )
-    _emit(args, record, dot)
+    _emit(args, record, lambda: _burn_dot(G, outcome))
     return 0 if valid else 2
 
 
@@ -320,8 +324,7 @@ def cmd_firefight(args) -> int:
         run = processes.firefight_pk_free(G, args.origin, args.pk)
     record = {"command": "firefight", "engine": args.engine, "input": args.input, "seed": args.seed}
     record.update(formats.firefight_record(run))
-    dot = formats.firefight_to_dot(G, run)
-    _emit(args, record, dot)
+    _emit(args, record, lambda: formats.firefight_to_dot(G, run))
     return 0 if run.valid else 2
 
 
@@ -408,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     burn.add_argument("--x1", type=int, default=None, help="first source for approx3")
     burn.add_argument("--clique", default=None, help="split partition clique, e.g. '0,1,2'")
-    burn.add_argument("--workers", type=int, default=1)
+    burn.add_argument("--workers", type=int, default=1, help="ignored; must be >= 1")
     burn.add_argument("--node-budget", type=int, default=None)
     burn.add_argument("--vertex-cap", type=int, default=9)
     burn.add_argument("--timings", action="store_true")

@@ -8,12 +8,11 @@ handles larger instances.  Both return a verified witness sequence.
 from __future__ import annotations
 
 import itertools
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .burning import BurnSchedule, simulate
 from .errors import NodeBudgetError, RejectedInputError, VertexCapError
+from .families import _ceil_sqrt
 from .graph import UNREACHED, Graph, _bfs, components
 
 _FAR = 1 << 30  # larger than any finite distance
@@ -26,11 +25,6 @@ class ExactResult:
     k: int
     witness: BurnSchedule
     nodes_explored: int
-
-
-def _ceil_sqrt(n: int) -> int:
-    r = math.isqrt(n)
-    return r if r * r >= n else r + 1
 
 
 def _distance_matrix(G: Graph) -> list[list[int]]:
@@ -224,9 +218,12 @@ def burning_number_exact(
     """Iterative deepening from lower_bound(G) with coverage pruning.
 
     Returns the same k as the brute-force oracle with some verified witness
-    (not necessarily the lexicographically smallest one).  Deterministic for
-    any worker count: root subtrees are examined in candidate order and only
-    work up to the first success is counted.
+    (not necessarily the lexicographically smallest one).  Root subtrees are
+    searched one after another in candidate order up to the first success;
+    each root may use the node budget left at the start of its depth.
+    ``workers`` must be at least 1 and is otherwise ignored: the search is
+    pure Python, so threads cannot speed it up, and the result and node count
+    never depended on it.
     """
     if G.n == 0:
         raise RejectedInputError("burning number undefined for the empty graph")
@@ -237,42 +234,19 @@ def burning_number_exact(
     start = max(1, lower_bound(G))
     for k in range(start, G.n + 1):
         probe = _Search(G, dist, k, None)
+        if G.n > probe.reachable[k]:
+            continue  # coverage can never suffice at this depth
         roots, _ = probe._candidates((), 0)
         budget_left = None if node_budget is None else node_budget - total_nodes
-
-        def explore(root_vertex: int) -> tuple[tuple[int, ...] | None, int, bool]:
+        for _, root in roots:
             search = _Search(G, dist, k, budget_left)
             try:
-                found = search.run((root_vertex,), search.ball(root_vertex, k - 1))
+                found = search.run((root,), search.ball(root, k - 1))
             except NodeBudgetError:
-                return None, search.nodes, True
-            return found, search.nodes, False
-
-        root_vertices = [v for _, v in roots]
-        if G.n > probe.reachable[k]:
-            root_vertices = []  # coverage can never suffice at this depth
-        executor = None
-        if workers > 1 and len(root_vertices) > 1:
-            executor = ThreadPoolExecutor(max_workers=workers)
-            futures = [executor.submit(explore, v) for v in root_vertices]
-            outcomes = (f.result() for f in futures)
-        else:
-            outcomes = map(explore, root_vertices)
-
-        found_sequence = None
-        exhausted = False
-        for sequence, used, hit_budget in outcomes:
-            total_nodes += used
-            if sequence is not None:
-                found_sequence = sequence
-                break
-            if hit_budget or (node_budget is not None and total_nodes > node_budget):
-                exhausted = True
-                break
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
-        if exhausted:
-            raise NodeBudgetError(node_budget, k, upper_bound_radius(G))
-        if found_sequence is not None:
-            return ExactResult(k, simulate(G, found_sequence).schedule, total_nodes)
+                raise NodeBudgetError(node_budget, k, upper_bound_radius(G)) from None
+            total_nodes += search.nodes
+            if found is not None:
+                return ExactResult(k, simulate(G, found).schedule, total_nodes)
+            if node_budget is not None and total_nodes > node_budget:
+                raise NodeBudgetError(node_budget, k, upper_bound_radius(G))
     raise AssertionError("a burning sequence of length n always exists")

@@ -83,21 +83,69 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(tuple(sorted(s)) for s in neighbor_sets))
 
 
-def _bfs(adjacency: Sequence[Sequence[int]], source: int, limit: int | None = None) -> list[int]:
-    """Distances from ``source``; UNREACHED beyond the limit or in other components."""
+def _bfs(adjacency: Sequence[Sequence[int]], source: int) -> list[int]:
+    """Distances from ``source``; UNREACHED in other components."""
     dist = [UNREACHED] * len(adjacency)
     dist[source] = 0
     queue = deque((source,))
     while queue:
         v = queue.popleft()
         d = dist[v]
-        if limit is not None and d >= limit:
-            continue
         for u in adjacency[v]:
             if dist[u] == UNREACHED:
                 dist[u] = d + 1
                 queue.append(u)
     return dist
+
+
+def _ball(
+    adjacency: Sequence[Sequence[int]], sources: Iterable[int], radius: int
+) -> dict[int, int]:
+    """Every vertex within ``radius`` hops of ``sources``, mapped to its distance.
+
+    Sparse: the cost is the size of the ball plus the edges leaving it, not n.
+    """
+    dist = dict.fromkeys(sources, 0)
+    frontier = list(dist)
+    for d in range(1, radius + 1):
+        reached = []
+        for v in frontier:
+            for u in adjacency[v]:
+                if u not in dist:
+                    dist[u] = d
+                    reached.append(u)
+        if not reached:
+            break
+        frontier = reached
+    return dist
+
+
+def _walk(
+    adjacency: Sequence[Sequence[int]],
+    start: int,
+    length: int,
+    members: set[int] | None = None,
+) -> list[int]:
+    """Follow a path from ``start`` without stepping back, for up to ``length`` vertices.
+
+    Only vertices in ``members`` are entered when it is given.  The walk
+    stops early at a dead end; callers compare the result's length with
+    what they expected.
+    """
+    order = [start]
+    previous = None
+    current = start
+    while len(order) < length:
+        following = [
+            u
+            for u in adjacency[current]
+            if u != previous and (members is None or u in members)
+        ]
+        if not following:
+            break
+        previous, current = current, following[0]
+        order.append(current)
+    return order
 
 
 def bfs_distances(G: Graph, source: int) -> list[int | float]:
@@ -115,18 +163,7 @@ def neighborhood(G: Graph, X: Iterable[int], i: int) -> set[int]:
             raise RejectedInputError(f"vertex {v} out of range")
     if i < 0:
         raise RejectedInputError("radius must be nonnegative")
-    frontier = set(members)
-    for _ in range(i):
-        if not frontier:
-            break
-        nxt = set()
-        for v in frontier:
-            for u in G.adjacency[v]:
-                if u not in members:
-                    members.add(u)
-                    nxt.add(u)
-        frontier = nxt
-    return members
+    return set(_ball(G.adjacency, members, i))
 
 
 def components(G: Graph) -> list[frozenset[int]]:

@@ -20,6 +20,7 @@ from .graph import (
     Graph,
     IntervalSet,
     PermutationPair,
+    _walk,
     disk_graph,
     from_edge_list,
     permutation_graph,
@@ -205,12 +206,39 @@ def _split_consecutively(vertices: Sequence[int], orders: Sequence[int]) -> list
     return out
 
 
-def _middles_of_largest(units: list[tuple[int, int, tuple[int, ...]]]) -> list[int]:
-    """Middle vertex of each unit, largest order first.
+def _base_params(inst: D3PInstance) -> dict:
+    return {
+        "x": list(inst.x),
+        "n": inst.n,
+        "m": inst.m,
+        "b": inst.b,
+        "k": inst.k,
+        "b_prime": inst.b_prime,
+        "y": list(inst.y),
+    }
 
-    Units are (category, index, vertices); orders are all distinct odd
-    numbers, with category then index as a defensive tie-break.
+
+def _canonical_middles(
+    inst: D3PInstance,
+    solution,
+    triple_blocks: Sequence[Sequence[int]],
+    *leftover_groups: Iterable[tuple[int, Sequence[int]]],
+) -> list[int]:
+    """Middle vertex of each canonical unit, largest order first.
+
+    The i-th solved triple splits ``triple_blocks[i]`` into consecutive paths
+    of its three odd orders; every (index, block) of the leftover groups is
+    one more unit.  Orders are all distinct odd numbers, with category
+    (triple pieces, then each leftover group) then index as a defensive
+    tie-break.
     """
+    units: list[tuple[int, int, Sequence[int]]] = []
+    for triple, block in zip(_normalized_solution(inst, solution), triple_blocks):
+        orders = sorted((2 * a - 1 for a in triple), reverse=True)
+        for piece in _split_consecutively(block, orders):
+            units.append((0, len(units), piece))
+    for category, group in enumerate(leftover_groups, start=1):
+        units.extend((category, index, block) for index, block in group)
     ranked = sorted(units, key=lambda u: (-len(u[2]), u[0], u[1]))
     return [u[2][(len(u[2]) - 1) // 2] for u in ranked]
 
@@ -275,17 +303,15 @@ def gen_ig_gadget(inst: D3PInstance, solution=None) -> GadgetCertificate:
 
     canonical = None
     if solution is not None:
-        triples = _normalized_solution(inst, solution)
-        units: list[tuple[int, int, tuple[int, ...]]] = []
-        for i, triple in enumerate(triples, start=1):
-            orders = sorted((2 * a - 1 for a in triple), reverse=True)
-            for piece in _split_consecutively(segments[f"Q{i}"], orders):
-                units.append((0, len(units), piece))
-        for j in range(1, k + 1):
-            units.append((1, j, segments[f"Q'{j}"]))
-        for j in range(1, m + 2):
-            units.append((2, j, segments[f"T{j}"]))
-        canonical = tuple(_middles_of_largest(units))
+        canonical = tuple(
+            _canonical_middles(
+                inst,
+                solution,
+                [segments[f"Q{i}"] for i in range(1, n + 1)],
+                [(j, segments[f"Q'{j}"]) for j in range(1, k + 1)],
+                [(j, segments[f"T{j}"]) for j in range(1, m + 2)],
+            )
+        )
 
     # caterpillar interval representation: unit-ish spine windows, pendants
     # stabbed into the region their anchor covers alone
@@ -302,15 +328,7 @@ def gen_ig_gadget(inst: D3PInstance, solution=None) -> GadgetCertificate:
     return GadgetCertificate(
         kind="ig",
         graph=graph,
-        params={
-            "x": list(inst.x),
-            "n": n,
-            "m": m,
-            "b": inst.b,
-            "k": k,
-            "b_prime": b_prime,
-            "y": list(inst.y),
-        },
+        params=_base_params(inst),
         name_table=name_table,
         spine=spine,
         decomposition=tuple(SubpathSpec(label, segments[label]) for label, _ in plan),
@@ -363,15 +381,7 @@ def _trace_path(graph: Graph, members: set[int]) -> tuple[int, ...]:
     endpoints = sorted(v for v, d in inside_degree.items() if d == 1)
     if len(endpoints) != 2 or any(d > 2 for d in inside_degree.values()):
         raise RejectedInputError("vertex block does not induce a path")
-    order = [endpoints[0]]
-    previous = None
-    current = endpoints[0]
-    while True:
-        following = [u for u in graph.adjacency[current] if u in members and u != previous]
-        if not following:
-            break
-        previous, current = current, following[0]
-        order.append(current)
+    order = _walk(graph.adjacency, endpoints[0], len(members), members)
     if len(order) != len(members):
         raise RejectedInputError("vertex block does not induce a path")
     return tuple(order)
@@ -415,29 +425,14 @@ def gen_pg_gadget(
 
     canonical = None
     if solution is not None:
-        triples = _normalized_solution(inst, solution)
-        units: list[tuple[int, int, tuple[int, ...]]] = []
-        for i, triple in enumerate(triples, start=1):
-            orders = sorted((2 * a - 1 for a in triple), reverse=True)
-            for piece in _split_consecutively(blocks[i - 1], orders):
-                units.append((0, len(units), piece))
-        for j in range(n + 1, n + k + 1):
-            units.append((1, j, blocks[j - 1]))
-        canonical = tuple(_middles_of_largest(units))
+        canonical = tuple(
+            _canonical_middles(inst, solution, blocks[:n], enumerate(blocks[n:], start=n + 1))
+        )
 
     certificate = GadgetCertificate(
         kind="pg",
         graph=graph,
-        params={
-            "x": list(inst.x),
-            "n": n,
-            "m": m,
-            "b": inst.b,
-            "k": k,
-            "b_prime": b_prime,
-            "y": list(inst.y),
-            "perm": list(perm),
-        },
+        params={**_base_params(inst), "perm": list(perm)},
         name_table=name_table,
         spine=None,
         decomposition=tuple(
@@ -519,27 +514,14 @@ def gen_dk_gadget(
 
     canonical = None
     if solution is not None:
-        triples = _normalized_solution(inst, solution)
-        units: list[tuple[int, int, tuple[int, ...]]] = []
-        for i, triple in enumerate(triples, start=1):
-            orders = sorted((2 * a - 1 for a in triple), reverse=True)
-            for piece in _split_consecutively(arm_paths[i - 1], orders):
-                units.append((0, len(units), piece))
-        for j in range(n + 1, n + k + 1):
-            units.append((1, j, arm_paths[j - 1]))
-        canonical = tuple([0] + _middles_of_largest(units))
+        leftovers = enumerate(arm_paths[n : n + k], start=n + 1)
+        canonical = tuple([0] + _canonical_middles(inst, solution, arm_paths[:n], leftovers))
 
     certificate = GadgetCertificate(
         kind="dk",
         graph=graph,
         params={
-            "x": list(inst.x),
-            "n": n,
-            "m": m,
-            "b": inst.b,
-            "k": k,
-            "b_prime": b_prime,
-            "y": list(inst.y),
+            **_base_params(inst),
             "q": q,
             "hub_clearance": str(hub_clearance),
             "hub_radius": str(hub_radius),

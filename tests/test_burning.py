@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from burnkit import (
     InvalidSequenceError,
     RejectedInputError,
+    bfs_distances,
     clusters,
     coverage,
     from_edge_list,
@@ -99,6 +100,18 @@ class TestAgreementWithSimulation:
         burned = {v for v, s in enumerate(outcome.schedule.burn_step) if s is not None}
         assert burned == coverage(g, sequence)
         assert verify(g, sequence) == (outcome.valid and outcome.complete)
+        # the round of every vertex is its earliest arrival i+1+d(x_i, v)
+        # over the balls that reach it, from full-row distances
+        k = len(sequence)
+        rows = [bfs_distances(g, x) for x in sequence]
+        steps = outcome.schedule.burn_step
+        labels = outcome.schedule.labels
+        for v in range(g.n):
+            arrivals = [i + 1 + row[v] for i, row in enumerate(rows) if row[v] <= k - i - 1]
+            assert steps[v] == (min(arrivals) if arrivals else None)
+            ignited = any(x == v and steps[v] == i + 1 for i, x in enumerate(sequence))
+            assert (labels[v] == "a") == ignited
+            assert (labels[v] is None) == (steps[v] is None)
 
     def test_fuzzed_closed_form_and_equivalence(self):
         rng = random.Random(2024)

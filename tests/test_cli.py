@@ -127,6 +127,28 @@ class TestBurnCommand:
         code, _ = run_cli("burn", "--engine", "exact", str(target))
         assert code == 0
 
+    def test_non_integer_node_budget_environment(self, monkeypatch, p9, capsys):
+        monkeypatch.setenv("BURNKIT_NODE_BUDGET", "lots")
+        code, _ = run_cli("burn", "--engine", "exact", p9)
+        assert code == 3 and "BURNKIT_NODE_BUDGET" in capsys.readouterr().err
+
+    def test_dot_rendered_only_for_dot_output(self, monkeypatch, p9):
+        from burnkit import formats
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("DOT rendered for non-DOT output")
+
+        monkeypatch.setattr(formats, "graph_to_dot", refuse)
+        monkeypatch.setattr(formats, "firefight_to_dot", refuse)
+        for output in ("json", "text"):
+            for args in (
+                ("burn", "--engine", "path", p9),
+                ("verify", "--sequence", "2,6,8", p9),
+                ("firefight", "--origin", "0", p9),
+            ):
+                code, _ = run_cli(*args, "--output", output)
+                assert code == 0
+
 
 class TestVerifyCommand:
     def test_valid_sequence(self, example):
@@ -148,6 +170,12 @@ class TestVerifyCommand:
             str(prefix) + ".edges",
         )
         assert code == 0 and json.loads(out)["valid"]
+
+
+    def test_missing_certificate_file(self, p9, tmp_path, capsys):
+        missing = str(tmp_path / "absent.cert.json")
+        code, out = run_cli("verify", "--certificate", missing, p9)
+        assert code == 3 and out == "" and "absent.cert.json" in capsys.readouterr().err
 
 
 class TestGenCommand:

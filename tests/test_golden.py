@@ -62,6 +62,12 @@ def _cases() -> list[list[str]]:
         ["burn", "--engine", "exact", "example.edges"],
         ["burn", "--engine", "exact", "--workers", "2", "sp34.edges"],
         ["burn", "--engine", "exact", "--node-budget", "1", "sp34.edges"],
+        # searches deep enough to pin the candidate order and where a budget runs out
+        ["burn", "--engine", "exact", "sp47.edges"],
+        ["burn", "--engine", "exact", "sp55.edges"],
+        ["burn", "--engine", "exact", "grid56.edges"],
+        ["burn", "--engine", "exact", "--node-budget", "1606", "sp47.edges"],
+        ["burn", "--engine", "exact", "--node-budget", "1607", "sp47.edges"],
         ["burn", "--engine", "bruteforce", "example.edges"],
         ["burn", "--engine", "bruteforce", "--vertex-cap", "5", "p9.edges"],
         ["burn", "--engine", "approx3", "--trace", "--x1", "4", "p9.edges"],

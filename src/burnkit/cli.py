@@ -258,6 +258,8 @@ def cmd_gen(args) -> int:
         edges = [(v, (v + 1) % args.n) for v in range(args.n)]
         emit_graph(from_edge_list(args.n, edges))
     elif kind == "random":
+        if not 0 <= args.p <= 1:
+            raise RejectedInputError(f"--p must lie in [0, 1], got {args.p}")
         edges = [
             (u, v)
             for u in range(args.n)

@@ -35,11 +35,11 @@ def _distance_matrix(G: Graph) -> list[list[int]]:
     return rows
 
 
-def _is_path_forest(G: Graph) -> bool:
+def _is_path_forest(G: Graph, comps: list[frozenset[int]]) -> bool:
     if any(len(neighbors) > 2 for neighbors in G.adjacency):
         return False
     # acyclic with max degree 2 <=> every component has |E| = |V| - 1
-    return G.edge_count == G.n - len(components(G))
+    return G.edge_count == G.n - len(comps)
 
 
 def lower_bound(G: Graph) -> int:
@@ -47,7 +47,7 @@ def lower_bound(G: Graph) -> int:
     the square-root of each tree component's diameter-path order."""
     comps = components(G)
     bound = len(comps)
-    if G.n and _is_path_forest(G):
+    if G.n and _is_path_forest(G, comps):
         bound = max(bound, _ceil_sqrt(G.n))
     for comp in comps:
         members = sorted(comp)
@@ -68,8 +68,8 @@ def upper_bound_radius(G: Graph) -> int:
     comps = components(G)
     worst_radius = 0
     for comp in comps:
-        members = sorted(comp)
-        radius = min(max(_bfs(G.adjacency, v)[u] for u in members) for v in members)
+        rows = (_bfs(G.adjacency, v) for v in comp)
+        radius = min(max(row[u] for u in comp) for row in rows)
         worst_radius = max(worst_radius, radius)
     return worst_radius + len(comps)
 
@@ -109,70 +109,62 @@ def _verify_by_matrix(dist: list[list[int]], n: int, S: tuple[int, ...]) -> bool
 
 
 class _Search:
-    """Depth-first cover search for one target length k."""
+    """Depth-first cover search for one target length k.
+
+    ``balls[r][v]`` is the bitmask of the radius-r ball around v, for every
+    r < k, built from one pass over each distance row.  By the closed form of
+    the process, a vertex is a legal source at depth d when it lies outside
+    ball(x_t, d - t - 1) for every earlier source x_t, so the legal set is the
+    complement of one OR of table entries.
+    """
 
     def __init__(self, G: Graph, dist: list[list[int]], k: int, budget: int | None):
         self.n = G.n
-        self.dist = dist
         self.k = k
         self.budget = budget
         self.nodes = 0
         self.full = (1 << G.n) - 1
-        self._ball_cache: dict[tuple[int, int], int] = {}
-        max_ball = [0] * k
-        for r in range(k):
-            best = 0
-            for v in range(G.n):
-                row = dist[v]
-                size = sum(1 for u in range(G.n) if row[u] <= r)
-                if size > best:
-                    best = size
-            max_ball[r] = best
-        self.max_ball = max_ball
+        balls = [[0] * G.n for _ in range(k)]
+        for v, row in enumerate(dist):
+            shells = [0] * k  # shells[r]: the vertices at distance exactly r
+            for u, d in enumerate(row):
+                if d < k:
+                    shells[d] |= 1 << u
+            ball = 0
+            for r in range(k):
+                ball |= shells[r]
+                balls[r][v] = ball
+        self.balls = balls
+        self.max_ball = [max(ball.bit_count() for ball in table) for table in balls]
         # reachable[j] bounds how much j balls of radii 0..j-1 can ever cover
-        self.reachable = [0] * (k + 1)
-        for j in range(1, k + 1):
-            self.reachable[j] = self.reachable[j - 1] + max_ball[j - 1]
-
-    def ball(self, v: int, r: int) -> int:
-        key = (v, r)
-        mask = self._ball_cache.get(key)
-        if mask is None:
-            row = self.dist[v]
-            mask = 0
-            for u in range(self.n):
-                if row[u] <= r:
-                    mask |= 1 << u
-            self._ball_cache[key] = mask
-        return mask
+        self.reachable = [0, *itertools.accumulate(self.max_ball)]
 
     def _candidates(
         self, chosen: tuple[int, ...], covered: int
     ) -> tuple[list[tuple[int, int]], int]:
         depth = len(chosen)
-        radius = self.k - depth - 1
+        burned = 0
+        for t, x in enumerate(chosen):
+            burned |= self.balls[depth - t - 1][x]
+        legal_mask = self.full & ~burned
         uncovered = self.full & ~covered
-        ranked = []
-        legal_mask = 0
-        for v in range(self.n):
-            legal = True
-            for t, x in enumerate(chosen):
-                if self.dist[x][v] < depth - t:
-                    legal = False
-                    break
-            if not legal:
-                continue
-            legal_mask |= 1 << v
-            gain = (self.ball(v, radius) & uncovered).bit_count()
-            ranked.append((-gain, v))
-        ranked.sort()
+        balls = self.balls[self.k - depth - 1]
+        ranked = sorted(
+            (-(balls[v] & uncovered).bit_count(), v)
+            for v in range(self.n)
+            if legal_mask >> v & 1
+        )
         return ranked, legal_mask
 
     def run(self, chosen: tuple[int, ...], covered: int) -> tuple[int, ...] | None:
-        """Extend ``chosen`` to a full-length covering sequence, or None."""
+        """Extend ``chosen`` to a full-length covering sequence, or None.
+
+        Also None once more than ``budget`` nodes have been entered; the
+        caller tells the two apart by ``nodes``.
+        """
         self.nodes += 1
         if self.budget is not None and self.nodes > self.budget:
-            raise NodeBudgetError(self.budget, 0, 0)  # bounds filled by caller
+            return None
         depth = len(chosen)
         if depth == self.k:
             return chosen if covered == self.full else None
@@ -183,6 +175,7 @@ class _Search:
             return None
         ranked, legal_mask = self._candidates(chosen, covered)
         radius = self.k - depth - 1
+        balls = self.balls[radius]
         if uncovered_count:
             if not ranked or -ranked[0][0] == 0:
                 return None  # nothing legal can still reach the uncovered set
@@ -197,13 +190,13 @@ class _Search:
             probe = uncovered
             while probe:
                 low = probe & -probe
-                if not self.ball(low.bit_length() - 1, radius) & legal_mask:
+                if not balls[low.bit_length() - 1] & legal_mask:
                     return None
                 probe ^= low
         for negative_gain, v in ranked:
             if uncovered_count and negative_gain == 0 and remaining == 1:
                 return None  # the last ball must finish the job
-            result = self.run(chosen + (v,), covered | self.ball(v, radius))
+            result = self.run(chosen + (v,), covered | balls[v])
             if result is not None:
                 return result
         return None
@@ -218,9 +211,12 @@ def burning_number_exact(
     """Iterative deepening from lower_bound(G) with coverage pruning.
 
     Returns the same k as the brute-force oracle with some verified witness
-    (not necessarily the lexicographically smallest one).  Root subtrees are
-    searched one after another in candidate order up to the first success;
-    each root may use the node budget left at the start of its depth.
+    (not necessarily the lexicographically smallest one).  Each depth k
+    builds one search holding the radius-r ball masks for r < k; a vertex is
+    a legal next source when it lies outside ball(x_t, depth - t - 1) for
+    every earlier source x_t.  Root subtrees are searched one after another
+    in candidate order up to the first success; each root may use the node
+    budget left at the start of its depth.  A negative budget is rejected.
     ``workers`` must be at least 1 and is otherwise ignored: the search is
     pure Python, so threads cannot speed it up, and the result and node count
     never depended on it.
@@ -229,21 +225,19 @@ def burning_number_exact(
         raise RejectedInputError("burning number undefined for the empty graph")
     if workers < 1:
         raise RejectedInputError("workers must be >= 1")
+    if node_budget is not None and node_budget < 0:
+        raise RejectedInputError(f"node budget must be >= 0, got {node_budget}")
     dist = _distance_matrix(G)
     total_nodes = 0
-    start = max(1, lower_bound(G))
-    for k in range(start, G.n + 1):
-        probe = _Search(G, dist, k, None)
-        if G.n > probe.reachable[k]:
-            continue  # coverage can never suffice at this depth
-        roots, _ = probe._candidates((), 0)
+    for k in range(max(1, lower_bound(G)), G.n + 1):
         budget_left = None if node_budget is None else node_budget - total_nodes
+        search = _Search(G, dist, k, budget_left)
+        if G.n > search.reachable[k]:
+            continue  # coverage can never suffice at this depth
+        roots, _ = search._candidates((), 0)
         for _, root in roots:
-            search = _Search(G, dist, k, budget_left)
-            try:
-                found = search.run((root,), search.ball(root, k - 1))
-            except NodeBudgetError:
-                raise NodeBudgetError(node_budget, k, upper_bound_radius(G)) from None
+            search.nodes = 0
+            found = search.run((root,), search.balls[k - 1][root])
             total_nodes += search.nodes
             if found is not None:
                 return ExactResult(k, simulate(G, found).schedule, total_nodes)

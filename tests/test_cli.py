@@ -132,6 +132,16 @@ class TestBurnCommand:
         code, _ = run_cli("burn", "--engine", "exact", p9)
         assert code == 3 and "BURNKIT_NODE_BUDGET" in capsys.readouterr().err
 
+    def test_negative_node_budget_rejected(self, monkeypatch, p9, capsys):
+        code, _ = run_cli("burn", "--engine", "exact", "--node-budget", "-5", p9)
+        assert code == 5 and "node budget must be >= 0" in capsys.readouterr().err
+        monkeypatch.setenv("BURNKIT_NODE_BUDGET", "-5")
+        code, _ = run_cli("burn", "--engine", "exact", p9)
+        assert code == 5
+        # zero stays a legal budget that is spent at once
+        code, _ = run_cli("burn", "--engine", "exact", "--node-budget", "0", p9)
+        assert code == 4
+
     def test_dot_rendered_only_for_dot_output(self, monkeypatch, p9):
         from burnkit import formats
 
@@ -200,6 +210,16 @@ class TestGenCommand:
         prefix2 = tmp_path / "again" / "rand"
         run_cli("gen", "random", "--n", "12", "--p", "0.4", "--seed", "7", "--out", str(prefix2))
         assert Path(str(prefix2) + ".edges").read_text() == text
+
+    def test_random_edge_probability_out_of_range(self, tmp_path, capsys):
+        for p in ("2", "-1"):
+            prefix = tmp_path / f"rand{p}"
+            code, out = run_cli("gen", "random", "--n", "5", "--p", p, "--out", str(prefix))
+            assert code == 5 and out == "" and not Path(str(prefix) + ".edges").exists()
+            assert "--p must lie in [0, 1]" in capsys.readouterr().err
+        for p in ("0", "1"):
+            code, _ = run_cli("gen", "random", "--n", "5", "--p", p, "--out", str(tmp_path / "ok"))
+            assert code == 0
 
     def test_ig_gadget_files(self, tmp_path):
         prefix = tmp_path / "ig"

@@ -72,6 +72,12 @@ def _cases() -> list[list[str]]:
         ["burn", "--engine", "bruteforce", "--vertex-cap", "5", "p9.edges"],
         ["burn", "--engine", "approx3", "--trace", "--x1", "4", "p9.edges"],
         ["burn", "--engine", "approx3", "--trace", "sp34.edges"],
+        # approx3 runs of many rounds, one of them on a disconnected graph
+        ["burn", "--engine", "approx3", "--trace", "grid56.edges"],
+        ["burn", "--engine", "approx3", "--trace", "pg456.edges"],
+        ["burn", "--engine", "approx3", "--trace", "sp55.edges"],
+        ["burn", "--engine", "approx3", "--trace", "--format", "intervals", "ig456.intervals"],
+        ["burn", "--engine", "approx3", "--trace", "--format", "disks", "dk456.disks"],
         ["verify", "--sequence", "2,6,8", "p9.edges"],
         ["verify", "--sequence", "1,6,5", "example.edges"],
         ["verify", "--sequence", "1,1", "p9.edges"],
@@ -101,6 +107,10 @@ def _cases() -> list[list[str]]:
         ["firefight", "--origin", "4", "--engine", "verify", "--placements", "3", "p9.edges"],
         ["firefight", "--origin", "0", "--engine", "verify", "--placements", "0", "p9.edges"],
         ["firefight", "--origin", "0", "--engine", "pkfree", "example.edges"],
+        ["firefight", "--origin", "4", "--engine", "verify", "--placements", "3,3", "p9.edges"],
+        ["firefight", "--origin", "0", "--engine", "brute", "c9.edges"],
+        ["firefight", "--origin", "1", "--engine", "brute", "k4.edges"],
+        ["firefight", "--origin", "2", "--engine", "pkfree", "--pk", "4", "split.edges"],
         ["percolate", "--seed-set", "0,2", "--threshold", "2", "p9.edges"],
         ["percolate", "--seed-set", "0,1", "--threshold", "2", "k4.edges"],
         ["bench"],

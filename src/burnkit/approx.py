@@ -3,16 +3,15 @@
 Each round appends the unburned vertex that maximizes its worst
 distance-to-deadline ratio against the sources already placed; the loop
 stops as soon as the coverage balls reach every vertex.  Sequence length k
-certifies that the optimum is at least ceil((k-1)/3) + 1.
+certifies that the optimum is at least ceil((k-1)/3) + 1.  A ratio
+d / (k - j + 1) is the integer pair (d, k - j + 1), compared by
+cross-multiplication; (1, 0) is the infinite ratio of an unreachable vertex.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .burning import coverage
 from .errors import RejectedInputError
 from .graph import UNREACHED, Graph, _bfs
 
@@ -24,6 +23,29 @@ class ApproxResult:
     implied_lower: int
     trace: tuple[tuple[int, int, int], ...]
     """Per failed prefix: (length, uncovered count, certified lower bound)."""
+
+
+def _pick(rows: list[list[int]], k: int) -> tuple[int | None, int]:
+    """Round k's source (None if nothing is left) and the unburned count, in one pass.
+
+    ``rows[j-1]`` is source j's BFS row; it burns v when d(v) <= k - 1 - j.
+    An unburned vertex scores its least ratio (d, k - j + 1), or (1, 0) if no
+    source reaches it; the highest score wins, ties to the smallest vertex.
+    """
+    best, best_num, best_den, unburned = None, -1, 1, 0
+    for v in range(len(rows[0])):
+        num, den = 1, 0
+        for j, row in enumerate(rows, start=1):
+            d = row[v]
+            if UNREACHED < d < k - j:
+                break
+            if d != UNREACHED and d * den < num * (k - j + 1):
+                num, den = d, k - j + 1
+        else:
+            unburned += 1
+            if num * best_den > best_num * den:
+                best, best_num, best_den = v, num, den
+    return best, unburned
 
 
 def next_fire_source(G: Graph, k: int, S) -> list[int]:
@@ -38,27 +60,10 @@ def next_fire_source(G: Graph, k: int, S) -> list[int]:
         raise RejectedInputError(f"expected a prefix of length {k - 1}, got {len(prefix)}")
     if k < 2:
         raise RejectedInputError("the first source is chosen freely, not by ratio")
-    rows = [_bfs(G.adjacency, x) for x in prefix]
-    burned = set()
-    for j, row in enumerate(rows, start=1):
-        horizon = (k - 1) - j
-        burned.update(v for v, d in enumerate(row) if d != UNREACHED and d <= horizon)
-    candidates = [v for v in range(G.n) if v not in burned]
-    if not candidates:
+    vertex, unburned = _pick([_bfs(G.adjacency, x) for x in prefix], k)
+    if not unburned:
         raise RejectedInputError("every vertex is already burned; nothing to place")
-    best_vertex = None
-    best_score = None
-    for u in candidates:
-        score = math.inf
-        for j, row in enumerate(rows, start=1):
-            d = row[u]
-            ratio = math.inf if d == UNREACHED else Fraction(d, k - j + 1)
-            if ratio < score:
-                score = ratio
-        if best_score is None or score > best_score:
-            best_score = score
-            best_vertex = u
-    return prefix + [best_vertex]
+    return prefix + [vertex]
 
 
 def burn_3approx(G: Graph, x1: int | None = None) -> ApproxResult:
@@ -66,28 +71,23 @@ def burn_3approx(G: Graph, x1: int | None = None) -> ApproxResult:
 
     The result always verifies; its length is at most three times the
     burning number, and ``implied_lower`` is a sound lower bound derived
-    from the final failing prefix.
+    from the final failing prefix.  Each source's BFS row is kept across rounds.
     """
     if G.n == 0:
         raise RejectedInputError("cannot burn the empty graph")
     start = 0 if x1 is None else x1
     if not 0 <= start < G.n:
         raise RejectedInputError(f"start vertex {start} out of range")
-    sequence = [start]
+    sequence, rows = [start], [_bfs(G.adjacency, start)]
     trace: list[tuple[int, int, int]] = []
     while True:
-        covered = len(coverage(G, sequence))
-        if covered == G.n:
-            break
         length = len(sequence)
-        trace.append((length, G.n - covered, _prefix_bound(length)))
-        sequence = next_fire_source(G, length + 1, sequence)
+        vertex, unburned = _pick(rows, length + 1)
+        if not unburned:
+            break
+        trace.append((length, unburned, -(-length // 3) + 1))
+        sequence.append(vertex)
+        rows.append(_bfs(G.adjacency, vertex))
     k = len(sequence)
     implied_lower = max(-(-k // 3), trace[-1][2] if trace else 1)
     return ApproxResult(tuple(sequence), k, implied_lower, tuple(trace))
-
-
-def _prefix_bound(length: int) -> int:
-    """Lower bound certified by a failing prefix of this length."""
-    return -(-length // 3) + 1
-

@@ -17,6 +17,7 @@ Input formats (``--format``):
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -202,6 +203,8 @@ def cmd_verify(args) -> int:
         sequence = record_in.get("canonical_sequence")
         if sequence is None:
             raise RejectedInputError("certificate carries no canonical sequence")
+        if not (isinstance(sequence, list) and all(type(v) is int for v in sequence)):
+            raise ParseError("certificate canonical_sequence must be a list of integers")
     elif args.sequence is not None:
         sequence = _int_list(args.sequence)
     else:
@@ -381,7 +384,9 @@ def cmd_bench(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; ``parse_args`` keeps no state."""
     parser = argparse.ArgumentParser(prog="burnkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -250,15 +250,15 @@ class IntervalSet:
 def interval_graph(L: IntervalSet) -> Graph:
     """One vertex per interval; edge wherever two closed intervals intersect."""
     items = L.intervals
-    n = len(items)
+    # In order of start, b meets an earlier-starting a iff b starts by a's end.
+    order = sorted(range(len(items)), key=lambda i: items[i][0])
     edges = []
-    for a in range(n):
-        sa, ea = items[a]
-        for b in range(a + 1, n):
-            sb, eb = items[b]
-            if max(sa, sb) <= min(ea, eb):
-                edges.append((a, b))
-    return from_edge_list(n, edges)
+    for position, a in enumerate(order):
+        for b in order[position + 1 :]:
+            if items[b][0] > items[a][1]:
+                break
+            edges.append((a, b))
+    return from_edge_list(len(items), edges)
 
 
 @dataclass(frozen=True)

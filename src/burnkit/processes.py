@@ -32,6 +32,11 @@ class FirefightRun:
     violation: tuple[int, str] | None
 
 
+def _spread(adjacency, burned, blocked) -> set[int]:
+    """Neighbors of ``burned`` that are neither burned nor in ``blocked``."""
+    return {u for v in burned for u in adjacency[v] if u not in burned and u not in blocked}
+
+
 def verify_firefighter(G: Graph, s: int, placements) -> FirefightRun:
     """Simulate a placement sequence against a fire starting at ``s``.
 
@@ -50,23 +55,17 @@ def verify_firefighter(G: Graph, s: int, placements) -> FirefightRun:
     protected: set[int] = set()
     steps = [frozenset(burned)]
     step = 1
-    placed = 0
+    violation = None
     while True:
         step += 1
-        if placed < len(S):
-            vertex = S[placed]
-            placed += 1
-            if vertex in burned:
-                return _invalid(G, s, S, steps, protected, step, f"vertex {vertex} already burned")
-            if vertex in protected:
-                return _invalid(G, s, S, steps, protected, step, f"vertex {vertex} already protected")
+        if step - 2 < len(S):
+            vertex = S[step - 2]
+            if vertex in burned or vertex in protected:
+                state = "burned" if vertex in burned else "protected"
+                violation = (step, f"vertex {vertex} already {state}")
+                break
             protected.add(vertex)
-        spread = {
-            u
-            for v in burned
-            for u in G.adjacency[v]
-            if u not in burned and u not in protected
-        }
+        spread = _spread(G.adjacency, burned, protected)
         burned |= spread
         steps.append(frozenset(burned))
         if not spread:
@@ -77,81 +76,37 @@ def verify_firefighter(G: Graph, s: int, placements) -> FirefightRun:
         burned_steps=tuple(steps),
         protected=frozenset(protected),
         saved=G.n - len(burned),
-        valid=True,
-        violation=None,
-    )
-
-
-def _invalid(G, s, S, steps, protected, step, reason) -> FirefightRun:
-    burned = steps[-1]
-    return FirefightRun(
-        origin=s,
-        placements=S,
-        burned_steps=tuple(steps),
-        protected=frozenset(protected),
-        saved=G.n - len(burned),
-        valid=False,
-        violation=(step, reason),
+        valid=violation is None,
+        violation=violation,
     )
 
 
 def _search_strategies(G: Graph, s: int, max_placements: int) -> FirefightRun:
     """Best strategy by (most saved, fewest placements, lexicographic order).
 
-    Depth-first over placement prefixes; once no spread is possible, longer
+    Depth-first over placement prefixes, ranked by the least key (final
+    burned count, placements, sequence); once no spread is possible, longer
     sequences change nothing and are skipped.
     """
     adjacency = G.adjacency
-    best: dict[str, object] = {"seq": None, "saved": -1}
-
-    def run_out(burned: frozenset[int], protected: frozenset[int]) -> int:
-        burning = set(burned)
-        while True:
-            spread = {
-                u
-                for v in burning
-                for u in adjacency[v]
-                if u not in burning and u not in protected
-            }
-            if not spread:
-                return len(burning)
-            burning |= spread
-
-    def consider(sequence: tuple[int, ...], saved: int) -> None:
-        current = best["seq"]
-        if (
-            current is None
-            or saved > best["saved"]
-            or (saved == best["saved"] and len(sequence) < len(current))
-            or (saved == best["saved"] and len(sequence) == len(current) and sequence < current)
-        ):
-            best["seq"] = sequence
-            best["saved"] = saved
-
-    def alive(burned: set[int], protected: set[int]) -> bool:
-        return any(
-            u not in burned and u not in protected
-            for v in burned
-            for u in adjacency[v]
-        )
+    best = None
 
     def dfs(sequence: tuple[int, ...], burned: set[int], protected: set[int]) -> None:
-        consider(sequence, G.n - run_out(frozenset(burned), frozenset(protected)))
-        if len(sequence) >= max_placements or not alive(burned, protected):
+        nonlocal best
+        final = set(burned)
+        while spread := _spread(adjacency, final, protected):
+            final |= spread
+        key = (len(final), len(sequence), sequence)
+        best = key if best is None else min(best, key)
+        if len(sequence) >= max_placements or len(final) == len(burned):
             return
         for vertex in range(G.n):
-            if vertex in burned or vertex in protected:
-                continue
-            spread = {
-                u
-                for v in burned
-                for u in adjacency[v]
-                if u not in burned and u not in protected and u != vertex
-            }
-            dfs(sequence + (vertex,), burned | spread, protected | {vertex})
+            if vertex not in burned and vertex not in protected:
+                blocked = protected | {vertex}
+                dfs(sequence + (vertex,), burned | _spread(adjacency, burned, blocked), blocked)
 
     dfs((), {s}, set())
-    return verify_firefighter(G, s, best["seq"])
+    return verify_firefighter(G, s, best[2])
 
 
 def firefight_bruteforce(G: Graph, s: int, cap: int = 9) -> FirefightRun:

@@ -1,17 +1,67 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from burnkit import (
     RejectedInputError,
+    bfs_distances,
     burn_3approx,
     burning_number_exact,
+    coverage,
     from_edge_list,
     next_fire_source,
     verify,
 )
 
-from helpers import complete_graph, path_graph, random_connected_graph, random_graph
+from helpers import complete_graph, path_graph, random_connected_graph, random_graph, random_tree
+
+
+def _reference_next(G, k, prefix):
+    """Round k's source by exact ``Fraction`` ratios, as first written."""
+    rows = [bfs_distances(G, x) for x in prefix]
+    burned = set()
+    for j, row in enumerate(rows, start=1):
+        burned.update(v for v, d in enumerate(row) if d <= k - 1 - j)
+    best_vertex = best_score = None
+    for u in range(G.n):
+        if u in burned:
+            continue
+        score = min(
+            math.inf if row[u] == math.inf else Fraction(row[u], k - j + 1)
+            for j, row in enumerate(rows, start=1)
+        )
+        if best_score is None or score > best_score:
+            best_vertex, best_score = u, score
+    if best_vertex is None:
+        raise RejectedInputError("every vertex is already burned")
+    return list(prefix) + [best_vertex]
+
+
+def _reference_approx(G, x1):
+    """(sequence, implied_lower, trace) of the greedy loop over ``coverage``."""
+    sequence, trace = [x1], []
+    while (covered := len(coverage(G, sequence))) < G.n:
+        length = len(sequence)
+        trace.append((length, G.n - covered, -(-length // 3) + 1))
+        sequence = _reference_next(G, length + 1, sequence)
+    k = len(sequence)
+    return tuple(sequence), max(-(-k // 3), trace[-1][2] if trace else 1), tuple(trace)
+
+
+def _reference_corpus(rng):
+    """Sparse random graphs (often disconnected), trees and forests of trees."""
+    for _ in range(80):
+        n = rng.randint(1, 30)
+        yield random_graph(rng, n, rng.uniform(0, 0.3))
+    for _ in range(40):
+        yield random_tree(rng, rng.randint(1, 30))
+    for _ in range(30):
+        a, b = random_tree(rng, rng.randint(1, 15)), random_tree(rng, rng.randint(1, 15))
+        yield from_edge_list(
+            a.n + b.n, a.edges() + [(u + a.n, v + a.n) for u, v in b.edges()]
+        )
 
 
 class TestNextFireSource:
@@ -32,6 +82,33 @@ class TestNextFireSource:
     def test_everything_burned_rejected(self):
         with pytest.raises(RejectedInputError):
             next_fire_source(complete_graph(2), 3, [0, 1])
+
+
+class TestAgainstReference:
+    def test_burn_3approx_matches_reference(self):
+        rng = random.Random(97)
+        for g in _reference_corpus(rng):
+            for x1 in sorted({0, g.n - 1, rng.randrange(g.n)}):
+                result = burn_3approx(g, x1=x1)
+                expected = _reference_approx(g, x1)
+                assert (result.sequence, result.implied_lower, result.trace) == expected
+                assert result.k == len(expected[0])
+
+    def test_next_fire_source_matches_reference_on_every_prefix(self):
+        rng = random.Random(98)
+        for g in _reference_corpus(rng):
+            sequence = list(burn_3approx(g, x1=rng.randrange(g.n)).sequence)
+            scattered = [rng.randrange(g.n) for _ in range(rng.randint(1, 6))]
+            for source in (sequence, scattered):
+                for length in range(1, len(source) + 1):
+                    prefix = source[:length]
+                    try:
+                        expected = _reference_next(g, length + 1, prefix)
+                    except RejectedInputError:
+                        with pytest.raises(RejectedInputError):
+                            next_fire_source(g, length + 1, prefix)
+                    else:
+                        assert next_fire_source(g, length + 1, prefix) == expected
 
 
 class TestBurnThreeApprox:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from burnkit.cli import main
+from burnkit.cli import build_parser, main
 from burnkit.formats import format_edge_list
 
 from helpers import fig_example_graph, path_graph
@@ -187,6 +187,17 @@ class TestVerifyCommand:
         code, out = run_cli("verify", "--certificate", missing, p9)
         assert code == 3 and out == "" and "absent.cert.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "sequence",
+        ["12", [1.5, 2], 7, [True, 2], [[1], 2]],
+        ids=["string", "float", "number", "bool", "nested"],
+    )
+    def test_malformed_canonical_sequence(self, p9, tmp_path, capsys, sequence):
+        cert = tmp_path / "bad.cert.json"
+        cert.write_text(json.dumps({"claimed_k": 3, "canonical_sequence": sequence}))
+        code, out = run_cli("verify", "--certificate", str(cert), p9)
+        assert code == 3 and out == "" and "canonical_sequence" in capsys.readouterr().err
+
 
 class TestGenCommand:
     def test_spider(self, tmp_path):
@@ -301,6 +312,13 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["k"] == 3
+
+    def test_parser_is_shared_and_keeps_no_state(self, p9):
+        assert build_parser() is build_parser()
+        _, first = run_cli("burn", "--engine", "approx3", "--x1", "4", p9)
+        _, second = run_cli("burn", "--engine", "approx3", p9)
+        assert json.loads(first)["sequence"][0] == 4
+        assert json.loads(second)["sequence"][0] == 0
 
 
 class TestBench:

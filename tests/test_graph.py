@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -176,6 +177,38 @@ class TestIntervalGraph:
     def test_rejects_empty_interval(self):
         with pytest.raises(RejectedInputError):
             IntervalSet.from_pairs([(2, 2)])
+
+    def test_sweep_matches_all_pairs_and_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(29)
+        for _ in range(300):
+            pairs = []
+            for _ in range(rng.randint(0, 25)):
+                roll = rng.random()
+                if pairs and roll < 0.15:
+                    pairs.append(rng.choice(pairs))  # duplicate
+                elif pairs and roll < 0.3:
+                    end = rng.choice(pairs)[1]  # starts where another ends
+                    pairs.append((end, end + Fraction(rng.randint(1, 6), rng.randint(1, 3))))
+                else:
+                    start = Fraction(rng.randint(0, 24), rng.randint(1, 4))
+                    pairs.append((start, start + Fraction(rng.randint(1, 12), rng.randint(1, 4))))
+            g = interval_graph(IntervalSet.from_pairs(pairs))
+            oracle = nx.interval_graph(pairs)
+            n = len(pairs)
+            expected = [
+                (a, b)
+                for a in range(n)
+                for b in range(a + 1, n)
+                if max(pairs[a][0], pairs[b][0]) <= min(pairs[a][1], pairs[b][1])
+            ]
+            assert g.edges() == expected
+            distinct = {(min(p, q), max(p, q)) for p, q in oracle.edges() if p != q}
+            assert distinct == {
+                (min(pairs[a], pairs[b]), max(pairs[a], pairs[b]))
+                for a, b in expected
+                if pairs[a] != pairs[b]
+            }
 
     def test_no_long_induced_cycles(self):
         import itertools

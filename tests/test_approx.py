@@ -19,7 +19,7 @@ from helpers import complete_graph, path_graph, random_connected_graph, random_g
 
 
 def _reference_next(G, k, prefix):
-    """Round k's source by exact ``Fraction`` ratios, as first written."""
+    """Round k's source by exact ``Fraction`` ratios over a rebuilt burned set."""
     rows = [bfs_distances(G, x) for x in prefix]
     burned = set()
     for j, row in enumerate(rows, start=1):

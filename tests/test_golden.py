@@ -78,6 +78,14 @@ def _cases() -> list[list[str]]:
         ["burn", "--engine", "approx3", "--trace", "sp55.edges"],
         ["burn", "--engine", "approx3", "--trace", "--format", "intervals", "ig456.intervals"],
         ["burn", "--engine", "approx3", "--trace", "--format", "disks", "dk456.disks"],
+        # diameter ties and the radius bound on larger graphs
+        ["burn", "--engine", "interval-approx", "grid56.edges"],
+        ["burn", "--engine", "interval-approx", "sp55.edges"],
+        ["burn", "--engine", "interval-approx", "--format", "intervals", "ig456.intervals"],
+        # rejections: disconnected, a path forest, a path that is not a cycle
+        ["burn", "--engine", "interval-approx", "pg456.edges"],
+        ["burn", "--engine", "path", "pg456.edges"],
+        ["burn", "--engine", "cycle", "p9.edges"],
         ["verify", "--sequence", "2,6,8", "p9.edges"],
         ["verify", "--sequence", "1,6,5", "example.edges"],
         ["verify", "--sequence", "1,1", "p9.edges"],

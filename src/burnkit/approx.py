@@ -60,6 +60,9 @@ def next_fire_source(G: Graph, k: int, S) -> list[int]:
         raise RejectedInputError(f"expected a prefix of length {k - 1}, got {len(prefix)}")
     if k < 2:
         raise RejectedInputError("the first source is chosen freely, not by ratio")
+    for x in prefix:
+        if not 0 <= x < G.n:
+            raise RejectedInputError(f"prefix vertex {x} out of range")
     vertex, unburned = _pick([_bfs(G.adjacency, x) for x in prefix], k)
     if not unburned:
         raise RejectedInputError("every vertex is already burned; nothing to place")

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .graph import (
     Graph,
-    _walk,
+    _path_order,
     components,
     disk_graph,
     from_edge_list,
@@ -64,39 +64,46 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
+# Table entries name burnkit functions through their modules at call time,
+# so functions rebound on those modules (by a tracer, say) are the ones run.
+_FORMATS: dict[str, Callable[[str], Graph]] = {
+    "edges": lambda text: formats.parse_edge_list(text),
+    "intervals": lambda text: interval_graph(formats.parse_intervals(text)),
+    "permutation": lambda text: permutation_graph(formats.parse_permutation(text)),
+    "disks": lambda text: disk_graph(formats.parse_disks(text)),
+}
+
+
 def _load_graph(path: str, fmt: str) -> Graph:
-    text = _read(path)
-    if fmt == "edges":
-        return formats.parse_edge_list(text)
-    if fmt == "intervals":
-        return interval_graph(formats.parse_intervals(text))
-    if fmt == "permutation":
-        return permutation_graph(formats.parse_permutation(text))
-    if fmt == "disks":
-        return disk_graph(formats.parse_disks(text))
-    raise ParseError(f"unknown input format {fmt!r}")
+    return _FORMATS[fmt](_read(path))
+
+
+def _path_graph(n: int) -> Graph:
+    return from_edge_list(n, [(v, v + 1) for v in range(n - 1)])
+
+
+def _cycle_graph(n: int) -> Graph:
+    return from_edge_list(n, [(v, (v + 1) % n) for v in range(n)])
 
 
 def _trace_linear(G: Graph, closed: bool) -> list[int]:
-    """Vertex order of a path (closed=False) or cycle (closed=True) graph."""
+    """Vertex order of a path (closed=False) or cycle (closed=True) graph.
+
+    A cycle starts at vertex 0 and runs on through its smaller neighbor.
+    """
     if G.n == 0:
         raise RejectedInputError("empty graph")
     if len(components(G)) != 1:
         raise RejectedInputError("graph is disconnected")
-    degrees = [G.degree(v) for v in range(G.n)]
-    if closed:
-        if any(d != 2 for d in degrees):
-            raise RejectedInputError("graph is not a cycle")
-        start = 0
-    else:
-        ends = [v for v, d in enumerate(degrees) if d <= 1]
-        if any(d > 2 for d in degrees) or (G.n > 1 and len(ends) != 2):
+    if not closed:
+        order = _path_order(G.adjacency, range(G.n))
+        if order is None:
             raise RejectedInputError("graph is not a path")
-        start = min(ends) if ends else 0
-    order = _walk(G.adjacency, start, G.n)
-    if len(order) != G.n:
-        raise RejectedInputError("graph is not a single path or cycle")
-    return order
+        return order
+    if any(G.degree(v) != 2 for v in range(G.n)):
+        raise RejectedInputError("graph is not a cycle")
+    # connected and 2-regular: without vertex 0 it is a path between 0's neighbors
+    return [0] + _path_order(G.adjacency, range(1, G.n))
 
 
 def _emit(args, record: dict, dot: Callable[[], str] | None = None) -> None:
@@ -118,56 +125,59 @@ def _burn_dot(G: Graph, outcome) -> str:
 # -- burn ----------------------------------------------------------------------
 
 
-def _run_burn_engine(args, G: Graph):
-    engine = args.engine
-    extras: dict = {}
-    if engine == "exact":
-        budget = args.node_budget
-        if budget is None and os.environ.get(NODE_BUDGET_ENV):
-            value = os.environ[NODE_BUDGET_ENV]
-            try:
-                budget = int(value)
-            except ValueError as exc:
-                raise ParseError(f"{NODE_BUDGET_ENV} must be an integer, got {value!r}") from exc
-        result = exact.burning_number_exact(G, node_budget=budget, workers=args.workers)
-        extras["nodes_explored"] = result.nodes_explored
-        return list(result.witness.sources), extras
-    if engine == "bruteforce":
-        result = exact.burning_number_bruteforce(G, cap=args.vertex_cap)
-        extras["nodes_explored"] = result.nodes_explored
-        return list(result.witness.sources), extras
-    if engine == "approx3":
-        result = approx.burn_3approx(G, x1=args.x1)
-        extras["implied_lower"] = result.implied_lower
-        if args.trace:
-            extras["trace"] = [list(entry) for entry in result.trace]
-        return list(result.sequence), extras
-    if engine == "path":
-        return families.burn_path(_trace_linear(G, closed=False)), extras
-    if engine == "cycle":
-        return families.burn_cycle(_trace_linear(G, closed=True)), extras
-    if engine == "split":
-        if args.clique is not None:
-            clique = frozenset(_int_list(args.clique))
-            partition = families.SplitPartition(
-                clique, frozenset(range(G.n)) - clique
-            )
-        else:
-            partition = families.split_partition(G)
-            if partition is None:
-                raise RejectedInputError("input is not a split graph")
-        return families.burn_split(G, partition), extras
-    if engine == "cograph":
-        return families.burn_cograph(G), extras
-    if engine == "interval-approx":
-        return families.burn_interval_approx(G), extras
-    raise ParseError(f"unknown engine {engine!r}")
+def _exact_engine(args, G: Graph):
+    budget = args.node_budget
+    if budget is None and os.environ.get(NODE_BUDGET_ENV):
+        value = os.environ[NODE_BUDGET_ENV]
+        try:
+            budget = int(value)
+        except ValueError as exc:
+            raise ParseError(f"{NODE_BUDGET_ENV} must be an integer, got {value!r}") from exc
+    result = exact.burning_number_exact(G, node_budget=budget, workers=args.workers)
+    return list(result.witness.sources), {"nodes_explored": result.nodes_explored}
+
+
+def _bruteforce_engine(args, G: Graph):
+    result = exact.burning_number_bruteforce(G, cap=args.vertex_cap)
+    return list(result.witness.sources), {"nodes_explored": result.nodes_explored}
+
+
+def _approx3_engine(args, G: Graph):
+    result = approx.burn_3approx(G, x1=args.x1)
+    extras: dict = {"implied_lower": result.implied_lower}
+    if args.trace:
+        extras["trace"] = [list(entry) for entry in result.trace]
+    return list(result.sequence), extras
+
+
+def _split_engine(args, G: Graph):
+    if args.clique is not None:
+        clique = frozenset(_int_list(args.clique))
+        partition = families.SplitPartition(clique, frozenset(range(G.n)) - clique)
+    else:
+        partition = families.split_partition(G)
+        if partition is None:
+            raise RejectedInputError("input is not a split graph")
+    return families.burn_split(G, partition), {}
+
+
+# engine name -> (args, G) -> (sequence, extra report fields)
+_BURN_ENGINES: dict[str, Callable] = {
+    "exact": _exact_engine,
+    "bruteforce": _bruteforce_engine,
+    "approx3": _approx3_engine,
+    "path": lambda args, G: (families.burn_path(_trace_linear(G, closed=False)), {}),
+    "cycle": lambda args, G: (families.burn_cycle(_trace_linear(G, closed=True)), {}),
+    "split": _split_engine,
+    "cograph": lambda args, G: (families.burn_cograph(G), {}),
+    "interval-approx": lambda args, G: (families.burn_interval_approx(G), {}),
+}
 
 
 def cmd_burn(args) -> int:
     G = _load_graph(args.input, args.format)
     started = time.perf_counter()
-    sequence, extras = _run_burn_engine(args, G)
+    sequence, extras = _BURN_ENGINES[args.engine](args, G)
     elapsed = time.perf_counter() - started
     outcome = simulate(G, sequence)
     record = {
@@ -228,89 +238,109 @@ def cmd_verify(args) -> int:
 # -- gen -----------------------------------------------------------------------
 
 
-def _write(path: Path, text: str) -> str:
-    path.write_text(text)
-    return str(path)
+def _gen_random(args, rng, write, record) -> Graph:
+    if not 0 <= args.p <= 1:
+        raise RejectedInputError(f"--p must lie in [0, 1], got {args.p}")
+    edges = [
+        (u, v) for u in range(args.n) for v in range(u + 1, args.n) if rng.random() < args.p
+    ]
+    return from_edge_list(args.n, edges)
+
+
+def _gen_cycle(args, rng, write, record) -> Graph:
+    if args.n < 3:
+        raise RejectedInputError("a cycle needs at least three vertices")
+    return _cycle_graph(args.n)
+
+
+def _gen_intervals(args, rng, write, record) -> Graph:
+    pairs = []
+    for _ in range(args.n):
+        start = rng.randint(0, 3 * args.n)
+        pairs.append((Fraction(start), Fraction(start + rng.randint(1, 4))))
+    intervals = formats.IntervalSet(tuple(pairs))
+    write(".intervals", formats.format_intervals(intervals))
+    return interval_graph(intervals)
+
+
+def _gen_permutation(args, rng, write, record) -> Graph:
+    values = list(range(1, args.k + 1))
+    rng.shuffle(values)
+    pp = formats.PermutationPair(tuple(values))
+    write(".perm", formats.format_permutation(pp))
+    return permutation_graph(pp)
+
+
+def _gen_gadget(build):
+    """A gen kind for one gadget; ``build(args, inst, solution, write)`` returns its certificate."""
+
+    def generate(args, rng, write, record) -> Graph:
+        inst = hardness.validate_d3p(_int_list(args.x))
+        solution = None
+        if args.solve == "yes" or (args.solve == "auto" and 3 * inst.n <= hardness.SOLVER_CAP):
+            solution = hardness.solve_d3p_bruteforce(inst)
+        cert = build(args, inst, solution, write)
+        write(".cert.json", formats.dumps(formats.certificate_record(cert)))
+        record["claimed_k"] = cert.claimed_k
+        record["has_canonical_sequence"] = cert.canonical_sequence is not None
+        return cert.graph
+
+    return generate
+
+
+def _build_ig(args, inst, solution, write):
+    cert = hardness.gen_ig_gadget(inst, solution)
+    write(".intervals", formats.format_intervals(cert.intervals))
+    return cert
+
+
+def _build_pg(args, inst, solution, write):
+    pp, cert = hardness.gen_pg_gadget(inst, solution)
+    write(".perm", formats.format_permutation(pp))
+    return cert
+
+
+def _build_dk(args, inst, solution, write):
+    if args.q is None:
+        raise ParseError("dk-gadget requires --q (ring size)")
+    arrangement, cert = hardness.gen_dk_gadget(inst, args.q, solution)
+    write(".disks", formats.format_disks(arrangement))
+    return cert
+
+
+# kind -> (args, rng, write, record) -> Graph; ``write(suffix, text)`` adds a
+# file beside the graph and the record may gain fields
+_GEN_KINDS: dict[str, Callable] = {
+    "spider": lambda args, rng, write, record: hardness.gen_spider(args.s, args.r),
+    "spider-forest": lambda args, rng, write, record: hardness.gen_spider_forest(
+        _int_list(args.degrees)
+    ),
+    "path": lambda args, rng, write, record: _path_graph(args.n),
+    "cycle": _gen_cycle,
+    "random": _gen_random,
+    "ig-gadget": _gen_gadget(_build_ig),
+    "pg-gadget": _gen_gadget(_build_pg),
+    "dk-gadget": _gen_gadget(_build_dk),
+    "intervals": _gen_intervals,
+    "permutation": _gen_permutation,
+}
 
 
 def cmd_gen(args) -> int:
-    rng = random.Random(args.seed)
     prefix = Path(args.out)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     files: list[str] = []
     record: dict = {"command": "gen", "kind": args.kind, "seed": args.seed}
 
-    def sibling(suffix: str) -> Path:
-        return prefix.parent / (prefix.name + suffix)
+    def write(suffix: str, text: str) -> None:
+        path = prefix.parent / (prefix.name + suffix)
+        path.write_text(text)
+        files.append(str(path))
 
-    def emit_graph(G: Graph) -> None:
-        files.append(_write(sibling(".edges"), formats.format_edge_list(G)))
-        record["n"] = G.n
-        record["m"] = G.edge_count
-
-    kind = args.kind
-    if kind == "spider":
-        emit_graph(hardness.gen_spider(args.s, args.r))
-    elif kind == "spider-forest":
-        emit_graph(hardness.gen_spider_forest(_int_list(args.degrees)))
-    elif kind == "path":
-        emit_graph(from_edge_list(args.n, [(v, v + 1) for v in range(args.n - 1)]))
-    elif kind == "cycle":
-        if args.n < 3:
-            raise RejectedInputError("a cycle needs at least three vertices")
-        edges = [(v, (v + 1) % args.n) for v in range(args.n)]
-        emit_graph(from_edge_list(args.n, edges))
-    elif kind == "random":
-        if not 0 <= args.p <= 1:
-            raise RejectedInputError(f"--p must lie in [0, 1], got {args.p}")
-        edges = [
-            (u, v)
-            for u in range(args.n)
-            for v in range(u + 1, args.n)
-            if rng.random() < args.p
-        ]
-        emit_graph(from_edge_list(args.n, edges))
-    elif kind == "intervals":
-        pairs = []
-        for _ in range(args.n):
-            start = rng.randint(0, 3 * args.n)
-            pairs.append((Fraction(start), Fraction(start + rng.randint(1, 4))))
-        intervals = formats.IntervalSet(tuple(pairs))
-        files.append(_write(sibling(".intervals"), formats.format_intervals(intervals)))
-        emit_graph(interval_graph(intervals))
-    elif kind == "permutation":
-        values = list(range(1, args.k + 1))
-        rng.shuffle(values)
-        pp = formats.PermutationPair(tuple(values))
-        files.append(_write(sibling(".perm"), formats.format_permutation(pp)))
-        emit_graph(permutation_graph(pp))
-    elif kind in ("ig-gadget", "pg-gadget", "dk-gadget"):
-        inst = hardness.validate_d3p(_int_list(args.x))
-        solution = None
-        if args.solve == "yes" or (args.solve == "auto" and 3 * inst.n <= 12):
-            solution = hardness.solve_d3p_bruteforce(inst)
-        if kind == "ig-gadget":
-            cert = hardness.gen_ig_gadget(inst, solution)
-            files.append(
-                _write(sibling(".intervals"), formats.format_intervals(cert.intervals))
-            )
-        elif kind == "pg-gadget":
-            pp, cert = hardness.gen_pg_gadget(inst, solution)
-            files.append(_write(sibling(".perm"), formats.format_permutation(pp)))
-        else:
-            if args.q is None:
-                raise ParseError("dk-gadget requires --q (ring size)")
-            arrangement, cert = hardness.gen_dk_gadget(inst, args.q, solution)
-            files.append(_write(sibling(".disks"), formats.format_disks(arrangement)))
-        emit_graph(cert.graph)
-        files.append(
-            _write(sibling(".cert.json"), formats.dumps(formats.certificate_record(cert)))
-        )
-        record["claimed_k"] = cert.claimed_k
-        record["has_canonical_sequence"] = cert.canonical_sequence is not None
-    else:
-        raise ParseError(f"unknown generator kind {kind!r}")
-
+    G = _GEN_KINDS[args.kind](args, random.Random(args.seed), write, record)
+    write(".edges", formats.format_edge_list(G))
+    record["n"] = G.n
+    record["m"] = G.edge_count
     record["files"] = sorted(files)
     _emit(args, record)
     return 0
@@ -319,14 +349,18 @@ def cmd_gen(args) -> int:
 # -- firefight / percolate -------------------------------------------------------
 
 
+_FIREFIGHT_ENGINES: dict[str, Callable] = {
+    "verify": lambda args, G: processes.verify_firefighter(
+        G, args.origin, _int_list(args.placements or "")
+    ),
+    "brute": lambda args, G: processes.firefight_bruteforce(G, args.origin, cap=args.cap),
+    "pkfree": lambda args, G: processes.firefight_pk_free(G, args.origin, args.pk),
+}
+
+
 def cmd_firefight(args) -> int:
     G = _load_graph(args.input, args.format)
-    if args.engine == "verify":
-        run = processes.verify_firefighter(G, args.origin, _int_list(args.placements or ""))
-    elif args.engine == "brute":
-        run = processes.firefight_bruteforce(G, args.origin, cap=args.cap)
-    else:
-        run = processes.firefight_pk_free(G, args.origin, args.pk)
+    run = _FIREFIGHT_ENGINES[args.engine](args, G)
     record = {"command": "firefight", "engine": args.engine, "input": args.input, "seed": args.seed}
     record.update(formats.firefight_record(run))
     _emit(args, record, lambda: formats.firefight_to_dot(G, run))
@@ -345,17 +379,21 @@ def cmd_percolate(args) -> int:
 # -- bench -----------------------------------------------------------------------
 
 
+# kind -> (graph of n vertices, its family burner on the order 0..n-1)
+_BENCH_KINDS: dict[str, tuple[Callable, Callable]] = {
+    "path": (_path_graph, lambda order: families.burn_path(order)),
+    "cycle": (_cycle_graph, lambda order: families.burn_cycle(order)),
+}
+
+
 def cmd_bench(args) -> int:
     sizes = _int_list(args.sizes)
     engines = [token for token in args.engines.split(",") if token]
+    build, burn_linear = _BENCH_KINDS[args.kind]
     results = []
     for size in sizes:
-        if args.kind == "path":
-            G = from_edge_list(size, [(v, v + 1) for v in range(size - 1)])
-            linear = list(range(size))
-        else:
-            G = from_edge_list(size, [(v, (v + 1) % size) for v in range(size)])
-            linear = list(range(size))
+        G = build(size)
+        linear = list(range(size))
         for engine in engines:
             started = time.perf_counter()
             if engine == "exact":
@@ -365,12 +403,7 @@ def cmd_bench(args) -> int:
                 result = approx.burn_3approx(G)
                 entry = {"k": result.k, "implied_lower": result.implied_lower}
             elif engine == "path":
-                schedule = (
-                    families.burn_path(linear)
-                    if args.kind == "path"
-                    else families.burn_cycle(linear)
-                )
-                entry = {"k": len(schedule)}
+                entry = {"k": len(burn_linear(linear))}
             else:
                 raise ParseError(f"unknown bench engine {engine!r}")
             entry.update({"size": size, "engine": engine})
@@ -394,28 +427,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", choices=("json", "text", "dot"), default="json")
         p.add_argument("--seed", type=int, default=0)
         if with_format:
-            p.add_argument(
-                "--format",
-                choices=("edges", "intervals", "permutation", "disks"),
-                default="edges",
-            )
+            p.add_argument("--format", choices=tuple(_FORMATS), default="edges")
 
     burn = sub.add_parser("burn", help="compute a burning sequence")
     burn.add_argument("input")
-    burn.add_argument(
-        "--engine",
-        choices=(
-            "exact",
-            "bruteforce",
-            "approx3",
-            "path",
-            "cycle",
-            "split",
-            "cograph",
-            "interval-approx",
-        ),
-        default="exact",
-    )
+    burn.add_argument("--engine", choices=tuple(_BURN_ENGINES), default="exact")
     burn.add_argument("--x1", type=int, default=None, help="first source for approx3")
     burn.add_argument("--clique", default=None, help="split partition clique, e.g. '0,1,2'")
     burn.add_argument("--workers", type=int, default=1, help="ignored; must be >= 1")
@@ -434,21 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.set_defaults(func=cmd_verify)
 
     gen = sub.add_parser("gen", help="generate graphs and hard instances")
-    gen.add_argument(
-        "kind",
-        choices=(
-            "spider",
-            "spider-forest",
-            "path",
-            "cycle",
-            "random",
-            "ig-gadget",
-            "pg-gadget",
-            "dk-gadget",
-            "intervals",
-            "permutation",
-        ),
-    )
+    gen.add_argument("kind", choices=tuple(_GEN_KINDS))
     gen.add_argument("--out", required=True, help="output path prefix")
     gen.add_argument("--s", type=int, default=3, help="spider arm count")
     gen.add_argument("--r", type=int, default=3, help="spider arm length")
@@ -465,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     fire = sub.add_parser("firefight", help="simulate or optimize firefighting")
     fire.add_argument("input")
     fire.add_argument("--origin", type=int, required=True)
-    fire.add_argument("--engine", choices=("verify", "brute", "pkfree"), default="brute")
+    fire.add_argument("--engine", choices=tuple(_FIREFIGHT_ENGINES), default="brute")
     fire.add_argument("--placements", default=None, help="comma-separated vertices")
     fire.add_argument("--pk", type=int, default=5, help="path bound for pkfree")
     fire.add_argument("--cap", type=int, default=9)
@@ -480,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     perc.set_defaults(func=cmd_percolate)
 
     bench = sub.add_parser("bench", help="run engines over generated families")
-    bench.add_argument("--kind", choices=("path", "cycle"), default="path")
+    bench.add_argument("--kind", choices=tuple(_BENCH_KINDS), default="path")
     bench.add_argument("--sizes", default="9,16,25")
     bench.add_argument("--engines", default="path,approx3")
     bench.add_argument("--timings", action="store_true")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .burning import BurnSchedule, simulate
 from .errors import NodeBudgetError, RejectedInputError, VertexCapError
 from .families import _ceil_sqrt
-from .graph import UNREACHED, Graph, _bfs, components
+from .graph import UNREACHED, Graph, _bfs, _eccentricities, components
 
 _FAR = 1 << 30  # larger than any finite distance
 
@@ -64,14 +64,14 @@ def lower_bound(G: Graph) -> int:
 
 
 def upper_bound_radius(G: Graph) -> int:
-    """Radius bound: worst component radius plus the number of components."""
+    """Radius bound: worst component radius plus the number of components.
+
+    A component's radius is the least eccentricity among its vertices; the
+    eccentricities come from one BFS per vertex, so the cost is O(n(n + m)).
+    """
     comps = components(G)
-    worst_radius = 0
-    for comp in comps:
-        rows = (_bfs(G.adjacency, v) for v in comp)
-        radius = min(max(row[u] for u in comp) for row in rows)
-        worst_radius = max(worst_radius, radius)
-    return worst_radius + len(comps)
+    ecc = _eccentricities(G.adjacency)
+    return max((min(ecc[v] for v in comp) for comp in comps), default=0) + len(comps)
 
 
 def burning_number_bruteforce(G: Graph, cap: int = 9) -> ExactResult:

@@ -120,32 +120,35 @@ def _ball(
     return dist
 
 
-def _walk(
-    adjacency: Sequence[Sequence[int]],
-    start: int,
-    length: int,
-    members: set[int] | None = None,
-) -> list[int]:
-    """Follow a path from ``start`` without stepping back, for up to ``length`` vertices.
+def _eccentricities(adjacency: Sequence[Sequence[int]]) -> list[int]:
+    """Each vertex's eccentricity within its own component, one BFS row at a time."""
+    return [max(_bfs(adjacency, v)) for v in range(len(adjacency))]
 
-    Only vertices in ``members`` are entered when it is given.  The walk
-    stops early at a dead end; callers compare the result's length with
-    what they expected.
-    """
-    order = [start]
-    previous = None
-    current = start
-    while len(order) < length:
-        following = [
-            u
-            for u in adjacency[current]
-            if u != previous and (members is None or u in members)
-        ]
+
+def _path_order(adjacency: Sequence[Sequence[int]], members: Iterable[int]) -> list[int] | None:
+    """The members end to end from the smaller end, or None if they do not induce a path."""
+    members = set(members)
+    if len(members) == 1:
+        return list(members)
+    ends = []
+    for v in members:
+        inside = sum(1 for u in adjacency[v] if u in members)
+        if inside == 1:
+            ends.append(v)
+        elif inside != 2:
+            return None
+    if len(ends) != 2:
+        return None
+    previous, current = None, min(ends)
+    order = [current]
+    while True:
+        following = [u for u in adjacency[current] if u != previous and u in members]
         if not following:
             break
         previous, current = current, following[0]
         order.append(current)
-    return order
+    # a cycle among the members leaves the walk short
+    return order if len(order) == len(members) else None
 
 
 def bfs_distances(G: Graph, source: int) -> list[int | float]:
@@ -168,47 +171,36 @@ def neighborhood(G: Graph, X: Iterable[int], i: int) -> set[int]:
 
 def components(G: Graph) -> list[frozenset[int]]:
     """Connected components, ordered by their smallest vertex."""
-    seen = [False] * G.n
+    seen: set[int] = set()
     out: list[frozenset[int]] = []
     for start in range(G.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        queue = deque((start,))
-        while queue:
-            v = queue.popleft()
-            for u in G.adjacency[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    comp.append(u)
-                    queue.append(u)
-        out.append(frozenset(comp))
+        if start not in seen:
+            comp = frozenset(_ball(G.adjacency, (start,), G.n))
+            seen |= comp
+            out.append(comp)
     return out
 
 
 def diameter_path(G: Graph) -> list[int]:
     """A longest shortest path, deterministic by smallest (source, target, path).
 
+    The source is the smallest vertex of greatest eccentricity and the target
+    the smallest vertex farthest from it.  Extra memory is O(n): the BFS rows
+    are read one at a time, and only the row of the target is kept.
+
     Raises DisconnectedGraphError when the diameter is undefined.
     """
     if G.n == 0:
         raise DisconnectedGraphError("diameter undefined for the empty graph")
-    rows: list[list[int]] = []
-    best = -1
-    for v in range(G.n):
-        row = _bfs(G.adjacency, v)
-        if UNREACHED in row:
-            raise DisconnectedGraphError("diameter undefined for a disconnected graph")
-        rows.append(row)
-        ecc = max(row)
-        if ecc > best:
-            best = ecc
-    source = min(v for v in range(G.n) if max(rows[v]) == best)
-    target = min(u for u in range(G.n) if rows[source][u] == best)
+    if UNREACHED in _bfs(G.adjacency, 0):
+        raise DisconnectedGraphError("diameter undefined for a disconnected graph")
+    ecc = _eccentricities(G.adjacency)
+    best = max(ecc)
+    source = ecc.index(best)
+    target = _bfs(G.adjacency, source).index(best)
     # Greedy minimal-neighbor descent on distances-to-target yields the
     # lexicographically smallest shortest path.
-    to_target = rows[target]
+    to_target = _bfs(G.adjacency, target)
     path = [source]
     current = source
     while current != target:

@@ -20,13 +20,14 @@ from .graph import (
     Graph,
     IntervalSet,
     PermutationPair,
-    _walk,
+    _path_order,
     disk_graph,
     from_edge_list,
     permutation_graph,
 )
 
 _SCALE = 10**9  # denominator for rational snapshots of disk positions
+SOLVER_CAP = 12  # most elements solve_d3p_bruteforce accepts by default
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,9 @@ def check_d3p_solution(inst: D3PInstance, parts: Iterable[Iterable[int]]) -> boo
     return all(sum(t) == inst.b for t in triples)
 
 
-def solve_d3p_bruteforce(inst: D3PInstance, cap: int = 12) -> list[tuple[int, int, int]] | None:
+def solve_d3p_bruteforce(
+    inst: D3PInstance, cap: int = SOLVER_CAP
+) -> list[tuple[int, int, int]] | None:
     """Lexicographically first partition into triples summing to b, or None."""
     if 3 * inst.n > cap:
         raise BudgetError(
@@ -373,16 +376,8 @@ def _permutation_block(x: int, y: int) -> list[int]:
 
 def _trace_path(graph: Graph, members: set[int]) -> tuple[int, ...]:
     """The end-to-end order of a vertex set inducing a path, from its smaller end."""
-    if len(members) == 1:
-        return (next(iter(members)),)
-    inside_degree = {
-        v: sum(1 for u in graph.adjacency[v] if u in members) for v in members
-    }
-    endpoints = sorted(v for v, d in inside_degree.items() if d == 1)
-    if len(endpoints) != 2 or any(d > 2 for d in inside_degree.values()):
-        raise RejectedInputError("vertex block does not induce a path")
-    order = _walk(graph.adjacency, endpoints[0], len(members), members)
-    if len(order) != len(members):
+    order = _path_order(graph.adjacency, members)
+    if order is None:
         raise RejectedInputError("vertex block does not induce a path")
     return tuple(order)
 

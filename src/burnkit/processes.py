@@ -147,8 +147,8 @@ def bootstrap_percolate(G: Graph, A, r: int) -> PercolationRun:
     """Iterate infection to a fixed point: a healthy vertex becomes infected
     once at least r vertices of its closed neighborhood are infected.
 
-    The closed neighborhood is used literally; for a healthy vertex it
-    contributes nothing extra since the vertex itself is not yet infected.
+    A healthy vertex is not itself infected, so only its infected
+    neighbors count toward r.
     """
     seed = frozenset(A)
     for v in seed:
@@ -163,7 +163,7 @@ def bootstrap_percolate(G: Graph, A, r: int) -> PercolationRun:
             v
             for v in range(G.n)
             if v not in current
-            and sum(1 for u in G.adjacency[v] if u in current) + (v in current) >= r
+            and sum(1 for u in G.adjacency[v] if u in current) >= r
         }
         if not infected:
             break

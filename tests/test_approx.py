@@ -83,6 +83,11 @@ class TestNextFireSource:
         with pytest.raises(RejectedInputError):
             next_fire_source(complete_graph(2), 3, [0, 1])
 
+    @pytest.mark.parametrize("vertex", [-1, 9, 99])
+    def test_prefix_vertex_out_of_range_rejected(self, vertex):
+        with pytest.raises(RejectedInputError, match=f"prefix vertex {vertex} out of range"):
+            next_fire_source(path_graph(9), 2, [vertex])
+
 
 class TestAgainstReference:
     def test_burn_3approx_matches_reference(self):

@@ -116,6 +116,18 @@ class TestUpperBoundRadius:
     def test_isolated_vertices(self):
         assert upper_bound_radius(from_edge_list(3, [])) == 3
 
+    def test_matches_networkx_radius_per_component(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(41)
+        for _ in range(100):
+            n = rng.randint(0, 25)
+            g = random_graph(rng, n, rng.random() * 0.25)
+            h = nx.Graph(g.edges())
+            h.add_nodes_from(range(n))
+            comps = [h.subgraph(c) for c in nx.connected_components(h)]
+            expected = max((nx.radius(c) for c in comps), default=0) + len(comps)
+            assert upper_bound_radius(g) == expected
+
     def test_sandwich(self):
         rng = random.Random(17)
         for _ in range(30):

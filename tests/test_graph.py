@@ -21,6 +21,7 @@ from burnkit import (
     neighborhood,
     permutation_graph,
 )
+from burnkit.graph import _path_order
 from burnkit.hardness import gen_spider, gen_spider_forest
 
 from helpers import (
@@ -28,9 +29,20 @@ from helpers import (
     cycle_graph,
     fig_example_graph,
     path_graph,
+    random_connected_graph,
     random_graph,
     Q,
 )
+
+
+def grid_graph(rows: int, cols: int):
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return from_edge_list(rows * cols, edges)
+
+
+def complete_bipartite_graph(a: int, b: int):
+    return from_edge_list(a + b, [(u, a + v) for u in range(a) for v in range(b)])
 
 
 class TestFromEdgeList:
@@ -144,6 +156,30 @@ class TestDiameterPath:
             dist = bfs_distances(g, path[0])
             assert [dist[v] for v in path] == list(range(len(path)))
 
+    def test_lexicographic_contract_matches_networkx_oracle(self):
+        nx = pytest.importorskip("networkx")
+
+        def oracle(g):
+            # smallest eccentric source, smallest farthest target, smallest geodesic
+            h = nx.Graph(g.edges())
+            h.add_nodes_from(range(g.n))
+            dist = dict(nx.all_pairs_shortest_path_length(h))
+            ecc = [max(dist[v].values()) for v in range(g.n)]
+            source = min(v for v in range(g.n) if ecc[v] == max(ecc))
+            target = min(u for u in range(g.n) if dist[source][u] == max(ecc))
+            return min(nx.all_shortest_paths(h, source, target))
+
+        rng = random.Random(29)
+        graphs = [
+            random_connected_graph(rng, rng.randint(1, 10), rng.uniform(0.25, 0.9))
+            for _ in range(150)
+        ]
+        graphs += [cycle_graph(n) for n in range(3, 12)]
+        graphs += [grid_graph(r, c) for r, c in ((1, 5), (2, 2), (3, 4), (4, 4), (5, 6))]
+        graphs += [complete_bipartite_graph(a, b) for a, b in ((1, 4), (2, 3), (3, 3), (4, 2))]
+        for g in graphs:
+            assert diameter_path(g) == oracle(g), g.edges()
+
 
 class TestComponents:
     def test_connected(self):
@@ -155,6 +191,41 @@ class TestComponents:
     def test_spider_forest(self):
         g = gen_spider_forest([2, 3, 4])
         assert len(components(g)) == 3
+
+    def test_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(31)
+        for _ in range(100):
+            n = rng.randint(0, 30)
+            g = random_graph(rng, n, rng.random() * 0.2)
+            h = nx.Graph(g.edges())
+            h.add_nodes_from(range(n))
+            expected = sorted((frozenset(c) for c in nx.connected_components(h)), key=min)
+            assert components(g) == expected
+
+
+class TestPathOrder:
+    def test_members_inducing_a_path_against_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(37)
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            g = random_graph(rng, n, rng.random() * 0.5)
+            members = set(rng.sample(range(n), rng.randint(1, n)))
+            h = nx.Graph(g.edges()).subgraph(members).copy()
+            h.add_nodes_from(members)
+            is_path = (
+                nx.is_connected(h)
+                and max(d for _, d in h.degree()) <= 2
+                and h.number_of_edges() == len(members) - 1
+            )
+            order = _path_order(g.adjacency, members)
+            if not is_path:
+                assert order is None
+                continue
+            assert sorted(order) == sorted(members)
+            assert order[0] == min(v for v in members if h.degree(v) <= 1)
+            assert all(h.has_edge(a, b) for a, b in zip(order, order[1:]))
 
 
 class TestIntervalGraph:

@@ -57,6 +57,11 @@ def _cases() -> list[list[str]]:
         ["burn", "--engine", "cycle", "c9.edges"],
         ["burn", "--engine", "split", "split.edges"],
         ["burn", "--engine", "split", "--clique", "0,1,2", "split.edges"],
+        # split graphs with an empty independent side, isolated vertices or no clique
+        ["burn", "--engine", "split", "k4.edges"],
+        ["burn", "--engine", "split", "splitiso.edges"],
+        ["burn", "--engine", "split", "--clique", "0,1,2", "splitiso.edges"],
+        ["burn", "--engine", "split", "e5.edges"],
         ["burn", "--engine", "cograph", "k4.edges"],
         ["burn", "--engine", "cograph", "example.edges"],
         ["burn", "--engine", "exact", "example.edges"],
@@ -68,6 +73,10 @@ def _cases() -> list[list[str]]:
         ["burn", "--engine", "exact", "grid56.edges"],
         ["burn", "--engine", "exact", "--node-budget", "1606", "sp47.edges"],
         ["burn", "--engine", "exact", "--node-budget", "1607", "sp47.edges"],
+        ["burn", "--engine", "exact", "--node-budget", "557", "sp55.edges"],
+        ["burn", "--engine", "exact", "--node-budget", "558", "sp55.edges"],
+        ["burn", "--engine", "exact", "--node-budget", "63", "grid56.edges"],
+        ["burn", "--engine", "exact", "--node-budget", "64", "grid56.edges"],
         ["burn", "--engine", "bruteforce", "example.edges"],
         ["burn", "--engine", "bruteforce", "--vertex-cap", "5", "p9.edges"],
         ["burn", "--engine", "approx3", "--trace", "--x1", "4", "p9.edges"],

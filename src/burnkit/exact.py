@@ -108,6 +108,10 @@ def _verify_by_matrix(dist: list[list[int]], n: int, S: tuple[int, ...]) -> bool
     return covered == n
 
 
+class _OutOfBudget(Exception):
+    """A search needed more nodes than its budget."""
+
+
 class _Search:
     """Depth-first cover search for one target length k.
 
@@ -159,12 +163,10 @@ class _Search:
     def run(self, chosen: tuple[int, ...], covered: int) -> tuple[int, ...] | None:
         """Extend ``chosen`` to a full-length covering sequence, or None.
 
-        Also None once more than ``budget`` nodes have been entered; the
-        caller tells the two apart by ``nodes``.
+        ``run((), 0)`` searches the whole depth.  Every node entered below
+        ``chosen`` adds one to ``nodes``; rather than enter one more than
+        ``budget`` nodes, the search stops with ``_OutOfBudget``.
         """
-        self.nodes += 1
-        if self.budget is not None and self.nodes > self.budget:
-            return None
         depth = len(chosen)
         if depth == self.k:
             return chosen if covered == self.full else None
@@ -196,6 +198,9 @@ class _Search:
         for negative_gain, v in ranked:
             if uncovered_count and negative_gain == 0 and remaining == 1:
                 return None  # the last ball must finish the job
+            if self.nodes == self.budget:
+                raise _OutOfBudget
+            self.nodes += 1
             result = self.run(chosen + (v,), covered | balls[v])
             if result is not None:
                 return result
@@ -214,12 +219,11 @@ def burning_number_exact(
     (not necessarily the lexicographically smallest one).  Each depth k
     builds one search holding the radius-r ball masks for r < k; a vertex is
     a legal next source when it lies outside ball(x_t, depth - t - 1) for
-    every earlier source x_t.  Root subtrees are searched one after another
-    in candidate order up to the first success; each root may use the node
-    budget left at the start of its depth.  A negative budget is rejected.
-    ``workers`` must be at least 1 and is otherwise ignored: the search is
-    pure Python, so threads cannot speed it up, and the result and node count
-    never depended on it.
+    every earlier source x_t.  One node budget covers every depth, so
+    ``nodes_explored`` never exceeds it: a search that needs more raises
+    NodeBudgetError.  A negative budget is rejected.  ``workers`` must be at
+    least 1 and is otherwise ignored: the search is pure Python, so threads
+    cannot speed it up, and the result and node count never depended on it.
     """
     if G.n == 0:
         raise RejectedInputError("burning number undefined for the empty graph")
@@ -228,19 +232,14 @@ def burning_number_exact(
     if node_budget is not None and node_budget < 0:
         raise RejectedInputError(f"node budget must be >= 0, got {node_budget}")
     dist = _distance_matrix(G)
-    total_nodes = 0
+    nodes = 0
     for k in range(max(1, lower_bound(G)), G.n + 1):
-        budget_left = None if node_budget is None else node_budget - total_nodes
-        search = _Search(G, dist, k, budget_left)
-        if G.n > search.reachable[k]:
-            continue  # coverage can never suffice at this depth
-        roots, _ = search._candidates((), 0)
-        for _, root in roots:
-            search.nodes = 0
-            found = search.run((root,), search.balls[k - 1][root])
-            total_nodes += search.nodes
-            if found is not None:
-                return ExactResult(k, simulate(G, found).schedule, total_nodes)
-            if node_budget is not None and total_nodes > node_budget:
-                raise NodeBudgetError(node_budget, k, upper_bound_radius(G))
+        search = _Search(G, dist, k, None if node_budget is None else node_budget - nodes)
+        try:
+            found = search.run((), 0)
+        except _OutOfBudget:
+            raise NodeBudgetError(node_budget, k, upper_bound_radius(G)) from None
+        nodes += search.nodes
+        if found is not None:
+            return ExactResult(k, simulate(G, found).schedule, nodes)
     raise AssertionError("a burning sequence of length n always exists")

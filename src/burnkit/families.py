@@ -112,60 +112,35 @@ def split_partition(G: Graph) -> SplitPartition | None:
     return sp
 
 
-def burn_split(G: Graph, sp: SplitPartition, use_preferences: bool = True) -> list[int]:
+def burn_split(G: Graph, sp: SplitPartition) -> list[int]:
     """Burn a split graph: first source in the clique, then independent vertices.
 
     Connected inputs finish in at most three rounds; disconnected ones keep
-    seeding unburned independent vertices until everything is burned.  The
-    preference clauses only steer tie-breaking and never affect validity.
+    seeding unburned independent vertices until everything is burned.  Each
+    later round takes the smallest unburned independent vertex off the first
+    source's neighborhood, else the smallest unburned independent vertex,
+    else the smallest unburned vertex.
     """
     validate_split(G, sp)
     if G.n == 0:
         raise RejectedInputError("cannot burn the empty graph")
-    clique = sorted(sp.clique)
-    independent = sorted(sp.independent)
-    if not clique:
-        # a lone vertex is trivially a clique; promote the smallest one
-        clique = [independent[0]]
-        independent = independent[1:]
-
-    if use_preferences:
-        # the clique vertex reaching most of the independent set leaves at
-        # most one vertex uncovered whenever two rounds suffice
-        first = max(
-            clique,
-            key=lambda c: (sum(1 for u in G.adjacency[c] if u in sp.independent), -c),
-        )
-    else:
-        first = clique[0]
+    # a lone vertex is trivially a clique; promote the smallest one
+    clique = sorted(sp.clique) or [min(sp.independent)]
+    # the clique vertex reaching most of the independent set leaves at
+    # most one vertex uncovered whenever two rounds suffice
+    first = max(
+        clique,
+        key=lambda c: (sum(1 for u in G.adjacency[c] if u in sp.independent), -c),
+    )
     schedule = [first]
     burned = {first}
-    if len(burned) == G.n:
-        return schedule
-
-    unburned_independent = [v for v in independent if v not in burned]
-    if unburned_independent:
-        away_from_first = [v for v in unburned_independent if v not in G.adjacency[first]]
-        second = (
-            away_from_first[0]
-            if use_preferences and away_from_first
-            else unburned_independent[0]
-        )
-    else:
-        second = min(v for v in range(G.n) if v not in burned)
-    spread = neighborhood(G, burned, 1)
-    schedule.append(second)
-    burned |= {second} | spread
-    if len(burned) == G.n:
-        return schedule
-
     while len(burned) < G.n:
-        spreading = set(burned)
-        candidates = [v for v in independent if v not in burned]
-        if not candidates:
-            raise RejectedInputError("split partition inconsistent with the graph")
-        schedule.append(candidates[0])
-        burned |= {candidates[0]} | neighborhood(G, spreading, 1)
+        unburned = [v for v in range(G.n) if v not in burned]
+        independent = [v for v in unburned if v in sp.independent]
+        away_from_first = [v for v in independent if v not in G.adjacency[first]]
+        source = (away_from_first or independent or unburned)[0]
+        schedule.append(source)
+        burned |= {source} | neighborhood(G, burned, 1)
     return schedule
 
 

@@ -159,7 +159,7 @@ class TestBurnSplit:
         rng = random.Random(37)
         for _ in range(15):
             g, sp = random_split_graph(rng, rng.randint(1, 9), connected=False)
-            schedule = burn_split(g, sp, use_preferences=False)
+            schedule = burn_split(g, sp)
             assert verify(g, schedule)
 
     def test_disconnected_terminates(self):

@@ -225,25 +225,19 @@ def _canonical_middles(
     inst: D3PInstance,
     solution,
     triple_blocks: Sequence[Sequence[int]],
-    *leftover_groups: Iterable[tuple[int, Sequence[int]]],
+    other_blocks: Iterable[Sequence[int]],
 ) -> list[int]:
     """Middle vertex of each canonical unit, largest order first.
 
     The i-th solved triple splits ``triple_blocks[i]`` into consecutive paths
-    of its three odd orders; every (index, block) of the leftover groups is
-    one more unit.  Orders are all distinct odd numbers, with category
-    (triple pieces, then each leftover group) then index as a defensive
-    tie-break.
+    of its three odd orders, and every block of ``other_blocks`` is one more
+    unit.  All unit orders are distinct, so the order alone ranks them.
     """
-    units: list[tuple[int, int, Sequence[int]]] = []
+    units = [*other_blocks]
     for triple, block in zip(_normalized_solution(inst, solution), triple_blocks):
         orders = sorted((2 * a - 1 for a in triple), reverse=True)
-        for piece in _split_consecutively(block, orders):
-            units.append((0, len(units), piece))
-    for category, group in enumerate(leftover_groups, start=1):
-        units.extend((category, index, block) for index, block in group)
-    ranked = sorted(units, key=lambda u: (-len(u[2]), u[0], u[1]))
-    return [u[2][(len(u[2]) - 1) // 2] for u in ranked]
+        units += _split_consecutively(block, orders)
+    return [unit[(len(unit) - 1) // 2] for unit in sorted(units, key=len, reverse=True)]
 
 
 # -- caterpillar interval gadget --------------------------------------------
@@ -311,8 +305,8 @@ def gen_ig_gadget(inst: D3PInstance, solution=None) -> GadgetCertificate:
                 inst,
                 solution,
                 [segments[f"Q{i}"] for i in range(1, n + 1)],
-                [(j, segments[f"Q'{j}"]) for j in range(1, k + 1)],
-                [(j, segments[f"T{j}"]) for j in range(1, m + 2)],
+                [segments[f"Q'{j}"] for j in range(1, k + 1)]
+                + [segments[f"T{j}"] for j in range(1, m + 2)],
             )
         )
 
@@ -420,9 +414,7 @@ def gen_pg_gadget(
 
     canonical = None
     if solution is not None:
-        canonical = tuple(
-            _canonical_middles(inst, solution, blocks[:n], enumerate(blocks[n:], start=n + 1))
-        )
+        canonical = tuple(_canonical_middles(inst, solution, blocks[:n], blocks[n:]))
 
     certificate = GadgetCertificate(
         kind="pg",
@@ -509,8 +501,9 @@ def gen_dk_gadget(
 
     canonical = None
     if solution is not None:
-        leftovers = enumerate(arm_paths[n : n + k], start=n + 1)
-        canonical = tuple([0] + _canonical_middles(inst, solution, arm_paths[:n], leftovers))
+        canonical = tuple(
+            [0] + _canonical_middles(inst, solution, arm_paths[:n], arm_paths[n : n + k])
+        )
 
     certificate = GadgetCertificate(
         kind="dk",

@@ -20,6 +20,12 @@ def complete_graph(n: int) -> Graph:
     return from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
+def grid_graph(rows: int, cols: int) -> Graph:
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return from_edge_list(rows * cols, edges)
+
+
 def fig_example_graph() -> Graph:
     """The eight-vertex example graph (vertices p..w mapped to 0..7)."""
     return from_edge_list(

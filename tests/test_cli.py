@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -319,6 +320,23 @@ class TestEntryPoint:
         _, second = run_cli("burn", "--engine", "approx3", p9)
         assert json.loads(first)["sequence"][0] == 4
         assert json.loads(second)["sequence"][0] == 0
+
+    def test_imports_only_the_standard_library(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        script = (
+            "import sys, burnkit, burnkit.cli\n"
+            "print(*sorted({name.partition('.')[0] for name in sys.modules}))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert "burnkit" in loaded
+        assert loaded - set(sys.stdlib_module_names) == {"burnkit", "__main__"}
 
 
 class TestBench:

@@ -14,11 +14,13 @@ from burnkit import (
     upper_bound_radius,
     verify,
 )
+from burnkit.exact import _Search
 from burnkit.hardness import gen_spider
 
 from helpers import (
     complete_graph,
     fig_example_graph,
+    grid_graph,
     path_graph,
     random_graph,
     random_tree,
@@ -81,6 +83,34 @@ class TestExactSolver:
     def test_empty_graph_rejected(self):
         with pytest.raises(RejectedInputError):
             burning_number_exact(from_edge_list(0, []))
+
+    def test_node_budget_bounds_the_search(self, monkeypatch):
+        entered = []
+        run = _Search.run
+
+        def counting_run(search, chosen, covered):
+            if chosen:
+                entered.append(chosen)
+            return run(search, chosen, covered)
+
+        monkeypatch.setattr(_Search, "run", counting_run)
+        rng = random.Random(19)
+        graphs = [gen_spider(s, r) for s, r in ((2, 4), (3, 5), (4, 6))]
+        graphs += [grid_graph(r, c) for r, c in ((3, 4), (4, 4), (5, 6))]
+        graphs += [random_graph(rng, rng.randint(2, 10), rng.random()) for _ in range(20)]
+        for g in graphs:
+            full = burning_number_exact(g)
+            for budget in range(full.nodes_explored + 1):
+                entered.clear()
+                try:
+                    result = burning_number_exact(g, node_budget=budget)
+                except NodeBudgetError as error:
+                    assert error.budget == budget
+                    assert len(entered) == budget  # an exhausted search enters exactly b nodes
+                    continue
+                assert result.nodes_explored <= budget
+                if budget == full.nodes_explored:
+                    assert result == full
 
 
 class TestLowerBound:

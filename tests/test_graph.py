@@ -28,17 +28,12 @@ from helpers import (
     complete_graph,
     cycle_graph,
     fig_example_graph,
+    grid_graph,
     path_graph,
     random_connected_graph,
     random_graph,
     Q,
 )
-
-
-def grid_graph(rows: int, cols: int):
-    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
-    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
-    return from_edge_list(rows * cols, edges)
 
 
 def complete_bipartite_graph(a: int, b: int):

@@ -198,7 +198,7 @@ class _Search:
         for negative_gain, v in ranked:
             if uncovered_count and negative_gain == 0 and remaining == 1:
                 return None  # the last ball must finish the job
-            if self.nodes == self.budget:
+            if self.nodes == self.budget:  # never true for a budget of None
                 raise _OutOfBudget
             self.nodes += 1
             result = self.run(chosen + (v,), covered | balls[v])

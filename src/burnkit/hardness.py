@@ -233,7 +233,7 @@ def _canonical_middles(
     of its three odd orders, and every block of ``other_blocks`` is one more
     unit.  All unit orders are distinct, so the order alone ranks them.
     """
-    units = [*other_blocks]
+    units = list(other_blocks)
     for triple, block in zip(_normalized_solution(inst, solution), triple_blocks):
         orders = sorted((2 * a - 1 for a in triple), reverse=True)
         units += _split_consecutively(block, orders)

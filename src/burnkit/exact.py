@@ -47,7 +47,7 @@ def lower_bound(G: Graph) -> int:
     the square-root of each tree component's diameter-path order."""
     comps = components(G)
     bound = len(comps)
-    if G.n and _is_path_forest(G, comps):
+    if _is_path_forest(G, comps):
         bound = max(bound, _ceil_sqrt(G.n))
     for comp in comps:
         members = sorted(comp)
@@ -120,6 +120,11 @@ class _Search:
     the process, a vertex is a legal source at depth d when it lies outside
     ball(x_t, d - t - 1) for every earlier source x_t, so the legal set is the
     complement of one OR of table entries.
+
+    Every uncovered vertex u is a legal source that covers itself, since
+    d(u, x_t) > k - t - 1 >= d - t - 1, so the best gain is >= 1.  The one prune
+    is capacity: the uncovered count exceeds the remaining balls' sizes, first
+    uncapped, then capped by the best gain (balls shrink, legality tightens).
     """
 
     def __init__(self, G: Graph, dist: list[list[int]], k: int, budget: int | None):
@@ -143,22 +148,19 @@ class _Search:
         # reachable[j] bounds how much j balls of radii 0..j-1 can ever cover
         self.reachable = [0, *itertools.accumulate(self.max_ball)]
 
-    def _candidates(
-        self, chosen: tuple[int, ...], covered: int
-    ) -> tuple[list[tuple[int, int]], int]:
+    def _candidates(self, chosen: tuple[int, ...], covered: int) -> list[tuple[int, int]]:
+        """The legal next sources as ``(-gain, v)``, best first."""
         depth = len(chosen)
         burned = 0
         for t, x in enumerate(chosen):
             burned |= self.balls[depth - t - 1][x]
-        legal_mask = self.full & ~burned
         uncovered = self.full & ~covered
         balls = self.balls[self.k - depth - 1]
-        ranked = sorted(
+        return sorted(
             (-(balls[v] & uncovered).bit_count(), v)
             for v in range(self.n)
-            if legal_mask >> v & 1
+            if not burned >> v & 1
         )
-        return ranked, legal_mask
 
     def run(self, chosen: tuple[int, ...], covered: int) -> tuple[int, ...] | None:
         """Extend ``chosen`` to a full-length covering sequence, or None.
@@ -170,34 +172,17 @@ class _Search:
         depth = len(chosen)
         if depth == self.k:
             return chosen if covered == self.full else None
-        uncovered = self.full & ~covered
-        uncovered_count = uncovered.bit_count()
-        remaining = self.k - depth
-        if uncovered_count > self.reachable[remaining]:
-            return None
-        ranked, legal_mask = self._candidates(chosen, covered)
+        uncovered_count = (self.full & ~covered).bit_count()
         radius = self.k - depth - 1
-        balls = self.balls[radius]
+        if uncovered_count > self.reachable[radius + 1]:
+            return None
+        ranked = self._candidates(chosen, covered)
         if uncovered_count:
-            if not ranked or -ranked[0][0] == 0:
-                return None  # nothing legal can still reach the uncovered set
-            # balls only shrink and legality only tightens, so no future
-            # source can gain more than the best current candidate does
             best_gain = -ranked[0][0]
-            achievable = sum(min(best_gain, self.max_ball[r]) for r in range(radius + 1))
-            if uncovered_count > achievable:
+            if uncovered_count > sum(min(best_gain, m) for m in self.max_ball[: radius + 1]):
                 return None
-            # a vertex with no legal candidate inside the current radius is
-            # lost for good
-            probe = uncovered
-            while probe:
-                low = probe & -probe
-                if not balls[low.bit_length() - 1] & legal_mask:
-                    return None
-                probe ^= low
-        for negative_gain, v in ranked:
-            if uncovered_count and negative_gain == 0 and remaining == 1:
-                return None  # the last ball must finish the job
+        balls = self.balls[radius]
+        for _, v in ranked:
             if self.nodes == self.budget:  # never true for a budget of None
                 raise _OutOfBudget
             self.nodes += 1
@@ -233,7 +218,7 @@ def burning_number_exact(
         raise RejectedInputError(f"node budget must be >= 0, got {node_budget}")
     dist = _distance_matrix(G)
     nodes = 0
-    for k in range(max(1, lower_bound(G)), G.n + 1):
+    for k in range(lower_bound(G), G.n + 1):
         search = _Search(G, dist, k, None if node_budget is None else node_budget - nodes)
         try:
             found = search.run((), 0)

@@ -342,12 +342,10 @@ def gen_ig_gadget(inst: D3PInstance, solution=None) -> GadgetCertificate:
 def _permutation_block(x: int, y: int) -> list[int]:
     """A permutation of x..y whose inversion graph is a path on y-x+1 vertices."""
     t = y - x + 1
+    # the general formula indexes out of range at t = 1, and at t = 4 gives
+    # another valid block than the one kept here
     if t == 1:
         return [x]
-    if t == 2:
-        return [y, x]
-    if t == 3:
-        return [y, x, x + 1]
     if t == 4:
         return [x + 1, y, x, x + 2]
     out = [0] * t

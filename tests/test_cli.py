@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from burnkit.cli import build_parser, main
+from burnkit.cli import _BURN_ENGINES, build_parser, main
 from burnkit.formats import format_edge_list
 
 from helpers import fig_example_graph, path_graph
@@ -142,6 +142,25 @@ class TestBurnCommand:
         # zero stays a legal budget that is spent at once
         code, _ = run_cli("burn", "--engine", "exact", "--node-budget", "0", p9)
         assert code == 4
+
+    @pytest.mark.parametrize("engine", tuple(_BURN_ENGINES))
+    def test_empty_graph_rejected_by_every_engine(self, engine, tmp_path, capsys):
+        target = tmp_path / "empty.edges"
+        target.write_text("0 0\n")
+        code, out = run_cli("burn", "--engine", engine, str(target))
+        err = capsys.readouterr().err
+        assert code == 5 and out == "" and "Traceback" not in err
+        assert err.startswith("precondition violated: ")
+        assert err.removeprefix("precondition violated: ").strip()
+
+    def test_timings_add_only_seconds(self, p9):
+        _, plain = run_cli("burn", "--engine", "exact", p9)
+        code, timed = run_cli("burn", "--engine", "exact", "--timings", p9)
+        plain, timed = json.loads(plain), json.loads(timed)
+        timings = timed.pop("timings")
+        assert code == 0 and timed == plain
+        assert list(timings) == ["seconds"]
+        assert isinstance(timings["seconds"], float) and timings["seconds"] >= 0
 
     def test_dot_rendered_only_for_dot_output(self, monkeypatch, p9):
         from burnkit import formats
@@ -345,3 +364,14 @@ class TestBench:
         assert code == 0 and len(record["results"]) == 6
         exact_k = {r["size"]: r["k"] for r in record["results"] if r["engine"] == "exact"}
         assert exact_k == {9: 3, 16: 4}
+
+    def test_timings_add_only_seconds(self):
+        args = ("bench", "--sizes", "9,16", "--engines", "path,approx3,exact")
+        _, plain = run_cli(*args)
+        code, timed = run_cli(*args, "--timings")
+        plain, timed = json.loads(plain), json.loads(timed)
+        assert code == 0 and len(timed["results"]) == len(plain["results"])
+        for entry in timed["results"]:
+            seconds = entry.pop("seconds")
+            assert isinstance(seconds, float) and seconds >= 0
+        assert timed == plain

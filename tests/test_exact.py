@@ -112,6 +112,30 @@ class TestExactSolver:
                 if budget == full.nodes_explored:
                     assert result == full
 
+    def test_every_uncovered_vertex_is_a_gaining_candidate(self, monkeypatch):
+        # capacity is the only prune because an uncovered vertex is always a
+        # legal source that covers itself, and one radius-0 ball ends the search
+        checked = []
+        candidates = _Search._candidates
+
+        def checking_candidates(search, chosen, covered):
+            ranked = candidates(search, chosen, covered)
+            gain = {v: -negative_gain for negative_gain, v in ranked}
+            uncovered = [v for v in range(search.n) if not covered >> v & 1]
+            assert all(gain.get(v, 0) >= 1 for v in uncovered)
+            if len(chosen) == search.k - 1:
+                assert len(uncovered) <= 1
+                assert not uncovered or gain[ranked[0][1]] == 1
+            checked.append((search.n, search.k))
+            return ranked
+
+        monkeypatch.setattr(_Search, "_candidates", checking_candidates)
+        rng = random.Random(29)
+        for _ in range(120):
+            g = random_graph(rng, rng.randint(1, 14), rng.random())
+            burning_number_exact(g)
+        assert len(set(checked)) > 20
+
 
 class TestLowerBound:
     def test_isolated_vertices(self):

@@ -14,9 +14,11 @@ from burnkit import (
     burn_interval_approx,
     burn_path,
     burn_split,
+    burning_number_bruteforce,
     burning_number_exact,
     from_edge_list,
     interval_graph,
+    simulate,
     split_partition,
     validate_split,
     verify,
@@ -194,6 +196,24 @@ class TestBurnCograph:
         schedule = burn_cograph(g)
         assert len(schedule) <= 3
         assert verify(g, schedule)
+
+    @pytest.mark.parametrize(
+        "n, edges, expected",
+        [
+            # K3,3: every vertex misses two others, so no two-round schedule
+            (6, [(a, b) for a in range(3) for b in range(3, 6)], [0, 2, 1]),
+            # the join of 2K2 (0-1, 2-3) with 3K1 (4, 5, 6)
+            (7, [(0, 1), (2, 3)] + [(a, b) for a in range(4) for b in range(4, 7)], [0, 1, 2]),
+        ],
+        ids=["K33", "2K2-join-3K1"],
+    )
+    def test_three_round_branch(self, n, edges, expected):
+        g = from_edge_list(n, edges)
+        schedule = burn_cograph(g)
+        assert schedule == expected
+        outcome = simulate(g, schedule)
+        assert outcome.valid and outcome.complete
+        assert burning_number_bruteforce(g).k == 3
 
     def test_random_connected_cographs(self):
         rng = random.Random(41)

@@ -87,6 +87,8 @@ def _cases() -> list[list[str]]:
         ["burn", "--engine", "approx3", "--trace", "sp55.edges"],
         ["burn", "--engine", "approx3", "--trace", "--format", "intervals", "ig456.intervals"],
         ["burn", "--engine", "approx3", "--trace", "--format", "disks", "dk456.disks"],
+        # disks on the boundary: tangencies, a duplicate, a nested and a giant disk
+        ["burn", "--engine", "approx3", "--format", "disks", "tangent.disks"],
         # diameter ties and the radius bound on larger graphs
         ["burn", "--engine", "interval-approx", "grid56.edges"],
         ["burn", "--engine", "interval-approx", "sp55.edges"],
@@ -95,6 +97,9 @@ def _cases() -> list[list[str]]:
         ["burn", "--engine", "interval-approx", "pg456.edges"],
         ["burn", "--engine", "path", "pg456.edges"],
         ["burn", "--engine", "cycle", "p9.edges"],
+        # rationals that do not parse
+        ["burn", "--engine", "approx3", "--format", "disks", "bad.disks"],
+        ["burn", "--engine", "approx3", "--format", "intervals", "zero.intervals"],
         ["verify", "--sequence", "2,6,8", "p9.edges"],
         ["verify", "--sequence", "1,6,5", "example.edges"],
         ["verify", "--sequence", "1,1", "p9.edges"],
@@ -116,9 +121,13 @@ def _cases() -> list[list[str]]:
         ["gen", "permutation", "--k", "7", "--seed", "2", "--out", "out/perm"],
         ["gen", "ig-gadget", "--x", "4,5,6", "--out", "out/ig"],
         ["gen", "ig-gadget", "--x", "4,5,6", "--solve", "no", "--out", "out/ig"],
+        ["gen", "ig-gadget", "--x", "5,6,8", "--solve", "no", "--out", "out/ig"],
         ["gen", "pg-gadget", "--x", "4,5,6", "--out", "out/pg"],
         ["gen", "pg-gadget", "--x", "10,11,12,14,15,16", "--solve", "no", "--out", "out/pg"],
         ["gen", "dk-gadget", "--x", "4,5,6", "--q", "14", "--out", "out/dk"],
+        # both ends of the ring sizes that x=5,6,8 admits
+        ["gen", "dk-gadget", "--x", "5,6,8", "--q", "18", "--out", "out/dk"],
+        ["gen", "dk-gadget", "--x", "5,6,8", "--q", "21", "--out", "out/dk"],
         ["gen", "dk-gadget", "--x", "4,5,6", "--out", "out/dk"],
         ["firefight", "--origin", "0", "--engine", "brute", "p9.edges"],
         ["firefight", "--origin", "4", "--engine", "verify", "--placements", "3", "p9.edges"],

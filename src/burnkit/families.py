@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass
 
 from .burning import coverage
-from .errors import DisconnectedGraphError, NotBurnableIn3Error, RejectedInputError
-from .graph import Graph, components, diameter_path, neighborhood
+from .errors import NotBurnableIn3Error, RejectedInputError
+from .graph import Graph, diameter_path, neighborhood
 
 
 def _ceil_sqrt(n: int) -> int:
@@ -180,9 +180,10 @@ def burn_interval_approx(G: Graph) -> list[int]:
 
     Schedules the diameter path optimally; if off-path vertices stay
     uncovered, one extra source on any of them finishes the job.
+    ``diameter_path`` rejects a disconnected graph.
     """
-    if len(components(G)) != 1:
-        raise DisconnectedGraphError("interval burner needs a connected graph")
+    if G.n == 0:
+        raise RejectedInputError("cannot burn the empty graph")
     path = diameter_path(G)
     schedule = burn_path(path)
     covered = coverage(G, schedule)

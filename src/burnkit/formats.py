@@ -10,7 +10,6 @@ JSON is emitted canonically (sorted keys) so equal inputs give equal bytes.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Iterable
 
 from .burning import BurnOutcome
@@ -59,21 +58,13 @@ def format_edge_list(G: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fraction(token: str) -> Fraction:
-    try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {token!r}") from exc
-
-
 def parse_intervals(text: str) -> IntervalSet:
-    pairs = []
-    for row in _content_lines(text):
+    rows = _content_lines(text)
+    for row in rows:
         if len(row) != 2:
             raise ParseError(f"interval line needs 'start end', got {row!r}")
-        pairs.append((_fraction(row[0]), _fraction(row[1])))
     try:
-        return IntervalSet(tuple(pairs))
+        return IntervalSet.from_pairs(rows)
     except Exception as exc:
         raise ParseError(str(exc)) from exc
 
@@ -101,13 +92,12 @@ def format_permutation(pp: PermutationPair) -> str:
 
 
 def parse_disks(text: str) -> DiskArrangement:
-    triples = []
-    for row in _content_lines(text):
+    rows = _content_lines(text)
+    for row in rows:
         if len(row) != 3:
             raise ParseError(f"disk line needs 'x y r', got {row!r}")
-        triples.append((_fraction(row[0]), _fraction(row[1]), _fraction(row[2])))
     try:
-        return DiskArrangement(tuple(triples))
+        return DiskArrangement.from_triples(rows)
     except Exception as exc:
         raise ParseError(str(exc)) from exc
 

@@ -239,18 +239,26 @@ class IntervalSet:
         return cls(tuple((_as_fraction(s), _as_fraction(e)) for s, e in pairs))
 
 
+def _overlaps(extents: Sequence[tuple[Fraction, Fraction]]) -> list[tuple[int, int]]:
+    """Index pairs (a, b) whose closed extents ``(start, end)`` meet.
+
+    In order of start, b meets an earlier-starting a iff b starts by a's
+    end.  The extents are intervals, or disks' x-extents (see ``disk_graph``).
+    """
+    order = sorted(range(len(extents)), key=lambda i: extents[i][0])
+    pairs = []
+    for rank, a in enumerate(order):
+        end = extents[a][1]
+        following = rank + 1
+        while following < len(order) and extents[order[following]][0] <= end:
+            pairs.append((a, order[following]))
+            following += 1
+    return pairs
+
+
 def interval_graph(L: IntervalSet) -> Graph:
     """One vertex per interval; edge wherever two closed intervals intersect."""
-    items = L.intervals
-    # In order of start, b meets an earlier-starting a iff b starts by a's end.
-    order = sorted(range(len(items)), key=lambda i: items[i][0])
-    edges = []
-    for position, a in enumerate(order):
-        for b in order[position + 1 :]:
-            if items[b][0] > items[a][1]:
-                break
-            edges.append((a, b))
-    return from_edge_list(len(items), edges)
+    return from_edge_list(len(L.intervals), _overlaps(L.intervals))
 
 
 @dataclass(frozen=True)
@@ -305,29 +313,38 @@ class DiskArrangement:
         return cls(tuple((_as_fraction(x), _as_fraction(y), _as_fraction(r)) for x, y, r in triples))
 
 
+def _floats(disk: tuple[Fraction, ...]) -> tuple[float, ...]:
+    """The disk in floats; all NaN beyond the float range, so the exact test decides."""
+    try:
+        return tuple(map(float, disk))
+    except OverflowError:
+        return (math.nan,) * 3
+
+
 def disk_graph(D: DiskArrangement) -> Graph:
     """Edge wherever two closed disks intersect (tangency counts).
 
-    Decisions are exact: a float prescreen handles pairs with a clear
-    margin, everything near the boundary falls back to rational arithmetic.
+    Two disks meet only if their x-extents ``[x - r, x + r]`` do, since a
+    shared point's x lies in both; so only the pairs that ``_overlaps`` finds
+    among the exact x-extents are tested.  Decisions are exact: a float
+    prescreen settles pairs with a clear margin, and the rest, near the
+    boundary or beyond the float range, fall back to rational arithmetic.
     """
     disks = D.disks
-    n = len(disks)
-    floats = [(float(x), float(y), float(r)) for x, y, r in disks]
+    floats = [_floats(disk) for disk in disks]
     edges = []
-    for a in range(n):
+    for a, b in _overlaps([(x - r, x + r) for x, _, r in disks]):
         xa, ya, ra = floats[a]
-        for b in range(a + 1, n):
-            xb, yb, rb = floats[b]
-            lhs = (xa - xb) ** 2 + (ya - yb) ** 2
-            rhs = (ra + rb) ** 2
-            scale = max(1.0, abs(xa), abs(ya), abs(xb), abs(yb), ra + rb)
-            if abs(lhs - rhs) > 1e-9 * scale * scale:
-                adjacent = lhs < rhs
-            else:
-                sa = disks[a]
-                sb = disks[b]
-                adjacent = (sa[0] - sb[0]) ** 2 + (sa[1] - sb[1]) ** 2 <= (sa[2] + sb[2]) ** 2
-            if adjacent:
-                edges.append((a, b))
-    return from_edge_list(n, edges)
+        xb, yb, rb = floats[b]
+        dx, dy, reach = xa - xb, ya - yb, ra + rb
+        gap = dx * dx + dy * dy - reach * reach
+        scale = max(1.0, abs(xa), abs(ya), abs(xb), abs(yb), reach)
+        # an overflow anywhere leaves the gap infinite or NaN
+        if math.isfinite(gap) and abs(gap) > 1e-9 * scale * scale:
+            adjacent = gap < 0
+        else:
+            (xa, ya, ra), (xb, yb, rb) = disks[a], disks[b]
+            adjacent = (xa - xb) ** 2 + (ya - yb) ** 2 <= (ra + rb) ** 2
+        if adjacent:
+            edges.append((a, b))
+    return from_edge_list(len(disks), edges)

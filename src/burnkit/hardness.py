@@ -23,6 +23,7 @@ from .graph import (
     _path_order,
     disk_graph,
     from_edge_list,
+    interval_graph,
     permutation_graph,
 )
 
@@ -251,7 +252,8 @@ def gen_ig_gadget(inst: D3PInstance, solution=None) -> GadgetCertificate:
     interior comb vertex carries one pendant.  Optimal burning in 2m+1
     rounds exists exactly when the instance has a 3-partition; with a
     supplied solution the canonical sequence ignites the middle of the i-th
-    largest decomposition segment in round i.
+    largest decomposition segment in round i.  The graph is the interval
+    graph of the emitted representation, so the two cannot disagree.
     """
     n, m, k, b_prime = inst.n, inst.m, inst.k, inst.b_prime
     y_desc = inst.y_descending
@@ -275,7 +277,9 @@ def gen_ig_gadget(inst: D3PInstance, solution=None) -> GadgetCertificate:
         segments[label] = tuple(range(next_id, next_id + order))
         next_id += order
     spine = tuple(range(next_id))
-    edges = [(v, v + 1) for v in range(len(spine) - 1)]
+    # caterpillar interval representation: unit-ish spine windows, pendants
+    # stabbed into the region their anchor covers alone
+    pairs = [(Fraction(v), Fraction(v) + Fraction(6, 5)) for v in spine]
 
     name_table = {
         f"{label}[{t}]": v
@@ -283,20 +287,17 @@ def gen_ig_gadget(inst: D3PInstance, solution=None) -> GadgetCertificate:
         for t, v in enumerate(seg, start=1)
     }
     combs: dict[str, tuple[int, ...]] = {}
-    pendant_anchor: dict[int, int] = {}
     for label, _ in plan:
         if not label.startswith("T"):
             continue
         ids = []
         for h, anchor in enumerate(segments[label][1:-1], start=1):
-            pendant = next_id
-            next_id += 1
-            edges.append((anchor, pendant))
-            ids.append(pendant)
-            pendant_anchor[pendant] = anchor
-            name_table[f"u{label[1:]}^{h}"] = pendant
+            name_table[f"u{label[1:]}^{h}"] = len(pairs)
+            ids.append(len(pairs))
+            pairs.append((Fraction(anchor) + Fraction(3, 10), Fraction(anchor) + Fraction(2, 5)))
         combs[label] = tuple(ids)
-    graph = from_edge_list(next_id, edges)
+    intervals = IntervalSet(tuple(pairs))
+    graph = interval_graph(intervals)
 
     canonical = None
     if solution is not None:
@@ -309,18 +310,6 @@ def gen_ig_gadget(inst: D3PInstance, solution=None) -> GadgetCertificate:
                 + [segments[f"T{j}"] for j in range(1, m + 2)],
             )
         )
-
-    # caterpillar interval representation: unit-ish spine windows, pendants
-    # stabbed into the region their anchor covers alone
-    pairs: list[tuple[Fraction, Fraction]] = [None] * graph.n
-    for position in spine:
-        pairs[position] = (Fraction(position), Fraction(position) + Fraction(6, 5))
-    for pendant, anchor in pendant_anchor.items():
-        pairs[pendant] = (
-            Fraction(anchor) + Fraction(3, 10),
-            Fraction(anchor) + Fraction(2, 5),
-        )
-    intervals = IntervalSet(tuple(pairs))
 
     return GadgetCertificate(
         kind="ig",

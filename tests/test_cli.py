@@ -152,6 +152,27 @@ class TestBurnCommand:
         assert code == 5 and out == "" and "Traceback" not in err
         assert err.startswith("precondition violated: ")
         assert err.removeprefix("precondition violated: ").strip()
+        assert "empty" in err
+
+    @pytest.mark.parametrize(
+        "text, m",
+        [
+            ("0 0 1e200\n5 0 1\n", 1),  # squaring the float radius sum overflows
+            ("1e400 0 1\n0 0 1\n", 0),  # the centre has no float at all
+        ],
+        ids=["radius-sum-squared", "centre"],
+    )
+    def test_disks_beyond_the_float_range(self, text, m, tmp_path, capsys):
+        from fractions import Fraction
+
+        target = tmp_path / "huge.disks"
+        target.write_text(text)
+        code, out = run_cli("burn", "--engine", "approx3", "--format", "disks", str(target))
+        assert code == 0 and "Traceback" not in capsys.readouterr().err
+        (xa, ya, ra), (xb, yb, rb) = ([Fraction(t) for t in line.split()] for line in text.splitlines())
+        assert m == int((xa - xb) ** 2 + (ya - yb) ** 2 <= (ra + rb) ** 2)
+        record = json.loads(out)
+        assert (record["n"], record["m"], record["valid"]) == (2, m, True)
 
     def test_timings_add_only_seconds(self, p9):
         _, plain = run_cli("burn", "--engine", "exact", p9)

@@ -323,7 +323,116 @@ class TestPermutationGraph:
             PermutationPair((1, 1, 3))
 
 
+def _all_pairs_disk_graph(D):
+    """The all-pairs builder that the x-extent sweep replaced, kept as a reference."""
+    disks = D.disks
+    n = len(disks)
+    floats = [(float(x), float(y), float(r)) for x, y, r in disks]
+    edges = []
+    for a in range(n):
+        xa, ya, ra = floats[a]
+        for b in range(a + 1, n):
+            xb, yb, rb = floats[b]
+            lhs = (xa - xb) ** 2 + (ya - yb) ** 2
+            rhs = (ra + rb) ** 2
+            scale = max(1.0, abs(xa), abs(ya), abs(xb), abs(yb), ra + rb)
+            if abs(lhs - rhs) > 1e-9 * scale * scale:
+                adjacent = lhs < rhs
+            else:
+                sa = disks[a]
+                sb = disks[b]
+                adjacent = (sa[0] - sb[0]) ** 2 + (sa[1] - sb[1]) ** 2 <= (sa[2] + sb[2]) ** 2
+            if adjacent:
+                edges.append((a, b))
+    return from_edge_list(n, edges)
+
+
+def _exact_disk_edges(D):
+    """Every pair of closed disks that meets, decided in rationals alone."""
+    disks = D.disks
+    return [
+        (a, b)
+        for a in range(len(disks))
+        for b in range(a + 1, len(disks))
+        if (disks[a][0] - disks[b][0]) ** 2 + (disks[a][1] - disks[b][1]) ** 2
+        <= (disks[a][2] + disks[b][2]) ** 2
+    ]
+
+
+# unit directions with rational coordinates: axes and 3-4-5 diagonals
+_DIRECTIONS = [(1, 0), (0, 1), (-1, 0), (0, -1)] + [
+    (Fraction(sx * a, 5), Fraction(sy * b, 5))
+    for a, b in ((3, 4), (4, 3))
+    for sx in (1, -1)
+    for sy in (1, -1)
+]
+
+
+def _random_arrangement(rng):
+    """Rational disks with tangencies, near misses, duplicates, nesting and maybe one giant."""
+    disks = []
+    for _ in range(rng.randint(0, 24)):
+        roll = rng.random()
+        if disks and roll < 0.1:
+            disks.append(rng.choice(disks))
+        elif disks and roll < 0.2:
+            x, y, r = rng.choice(disks)
+            disks.append((x + r / 4, y - r / 4, r / 2))  # nested inside
+        elif disks and roll < 0.55:
+            x, y, r = rng.choice(disks)
+            s = Fraction(rng.randint(1, 8), rng.randint(1, 2))
+            dx, dy = rng.choice(_DIRECTIONS)
+            # tangent, or off by a hair either way
+            s += rng.choice((0, 0, Fraction(1, 10**9), -Fraction(1, 10**9)))
+            disks.append((x + (r + s) * dx, y + (r + s) * dy, s))
+        else:
+            disks.append(
+                (
+                    Fraction(rng.randint(-60, 60), rng.randint(1, 4)),
+                    Fraction(rng.randint(-60, 60), rng.randint(1, 4)),
+                    Fraction(rng.randint(1, 16), rng.randint(1, 4)),
+                )
+            )
+    if rng.random() < 0.3:
+        giant = (Fraction(rng.randint(-80, 80)), Fraction(rng.randint(-80, 80)), Fraction(rng.randint(40, 500)))
+        disks.insert(rng.randint(0, len(disks)), giant)
+    return DiskArrangement(tuple(disks))
+
+
 class TestDiskGraph:
+    def test_sweep_matches_all_pairs_reference(self):
+        rng = random.Random(41)
+        tested = 0
+        for _ in range(400):
+            D = _random_arrangement(rng)
+            g = disk_graph(D)
+            assert g == _all_pairs_disk_graph(D)
+            assert g.edges() == _exact_disk_edges(D)
+            tested += g.edge_count
+        assert tested > 1000
+
+    @pytest.mark.parametrize(
+        "triples",
+        [
+            [("0", "0", "1e200"), ("5", "0", "1")],
+            [("1e400", "0", "1"), ("0", "0", "1")],
+            [("1e400", "0", "1"), ("1e400", "2", "1"), ("0", "0", "1e400"), ("-3", "4", "1")],
+        ],
+    )
+    def test_beyond_the_float_range_is_decided_exactly(self, triples):
+        D = DiskArrangement.from_triples(triples)
+        with pytest.raises(OverflowError):
+            _all_pairs_disk_graph(D)
+        assert disk_graph(D).edges() == _exact_disk_edges(D)
+
+    def test_tangency_at_the_float_overflow_edge(self):
+        # exactly tangent along a 756-1360-1556 right triangle, but in floats
+        # the squared distance overflows while the squared radius sum does not
+        t = Fraction(8.61684314263663e150)
+        r = Fraction(761977, 10**6) * 1556 * t
+        D = DiskArrangement(((Fraction(0), Fraction(0), r), (756 * t, 1360 * t, 1556 * t - r)))
+        assert disk_graph(D).edge_count == 1
+
     def test_separated_disks(self):
         g = disk_graph(DiskArrangement.from_triples([(0, 0, 1), (3, 0, 1)]))
         assert g.edge_count == 0

@@ -128,6 +128,36 @@ class TestSpiders:
             gen_spider_forest([2, 2])
 
 
+def _planned_caterpillar(inst):
+    """The ig gadget's tree from its plan alone, without its intervals.
+
+    The spine runs through the plan's segments in order: a Q block of order
+    2b-3 and a comb, for each of the n triples; a Q' block of the next
+    leftover odd order and a comb, k times; then the remaining combs.  Comb
+    j has order 2(2m+1-j)+1, and each interior comb vertex gets one pendant,
+    numbered after the spine in plan order.
+    """
+    n, m, k = inst.n, inst.m, inst.k
+    orders = []  # (order, is a comb) along the spine
+    for i in range(1, n + 1):
+        orders += [(inst.b_prime, False), (2 * (2 * m + 1 - i) + 1, True)]
+    for j in range(1, k + 1):
+        orders += [(inst.y_descending[j - 1], False), (2 * (2 * m + 1 - n - j) + 1, True)]
+    orders += [(2 * (2 * m + 1 - j) + 1, True) for j in range(n + k + 1, m + 2)]
+    spine = sum(order for order, _ in orders)
+    assert spine == (2 * m + 1) ** 2
+    edges = [(v, v + 1) for v in range(spine - 1)]
+    start = 0
+    pendant = spine
+    for order, comb in orders:
+        if comb:
+            for anchor in range(start + 1, start + order - 1):
+                edges.append((anchor, pendant))
+                pendant += 1
+        start += order
+    return from_edge_list(pendant, edges)
+
+
 class TestIgGadget:
     def test_desk_scale_certificate(self):
         inst = validate_d3p(DESK_X)
@@ -171,6 +201,12 @@ class TestIgGadget:
         assert len(cert.spine) == 33 * 33
         assert cert.claimed_k == 33
         assert verify(cert.graph, cert.canonical_sequence)
+
+    @pytest.mark.parametrize("x", [DESK_X, FULL_X, [5, 6, 8]])
+    def test_graph_is_the_planned_caterpillar(self, x):
+        inst = validate_d3p(x)
+        cert = gen_ig_gadget(inst)
+        assert cert.graph == _planned_caterpillar(inst)
 
     def test_comb_structure(self):
         inst = validate_d3p(DESK_X)

@@ -93,10 +93,13 @@ def _cases() -> list[list[str]]:
         ["burn", "--engine", "interval-approx", "grid56.edges"],
         ["burn", "--engine", "interval-approx", "sp55.edges"],
         ["burn", "--engine", "interval-approx", "--format", "intervals", "ig456.intervals"],
-        # rejections: disconnected, a path forest, a path that is not a cycle
+        # rejections: disconnected, a path forest, a path that is not a cycle, two cycles
         ["burn", "--engine", "interval-approx", "pg456.edges"],
         ["burn", "--engine", "path", "pg456.edges"],
         ["burn", "--engine", "cycle", "p9.edges"],
+        ["burn", "--engine", "cycle", "2c3.edges"],
+        # a path listed out of order whose first source clamps to position 1
+        ["burn", "--engine", "path", "p6.edges"],
         # rationals that do not parse
         ["burn", "--engine", "approx3", "--format", "disks", "bad.disks"],
         ["burn", "--engine", "approx3", "--format", "intervals", "zero.intervals"],
@@ -124,6 +127,9 @@ def _cases() -> list[list[str]]:
         ["gen", "ig-gadget", "--x", "5,6,8", "--solve", "no", "--out", "out/ig"],
         ["gen", "pg-gadget", "--x", "4,5,6", "--out", "out/pg"],
         ["gen", "pg-gadget", "--x", "10,11,12,14,15,16", "--solve", "no", "--out", "out/pg"],
+        # the smallest two-triple instance, solved under --solve auto
+        ["gen", "pg-gadget", "--x", "9,10,11,12,13,15", "--out", "out/pg"],
+        ["gen", "dk-gadget", "--x", "9,10,11,12,13,15", "--q", "32", "--out", "out/dk"],
         ["gen", "dk-gadget", "--x", "4,5,6", "--q", "14", "--out", "out/dk"],
         # both ends of the ring sizes that x=5,6,8 admits
         ["gen", "dk-gadget", "--x", "5,6,8", "--q", "18", "--out", "out/dk"],

@@ -38,7 +38,6 @@ from .errors import (
 from .graph import (
     Graph,
     _path_order,
-    components,
     disk_graph,
     from_edge_list,
     interval_graph,
@@ -60,7 +59,7 @@ def _int_list(text: str) -> list[int]:
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
@@ -93,17 +92,18 @@ def _trace_linear(G: Graph, closed: bool) -> list[int]:
     """
     if G.n == 0:
         raise RejectedInputError("empty graph")
-    if len(components(G)) != 1:
-        raise RejectedInputError("graph is disconnected")
     if not closed:
         order = _path_order(G.adjacency, range(G.n))
-        if order is None:
-            raise RejectedInputError("graph is not a path")
-        return order
-    if any(G.degree(v) != 2 for v in range(G.n)):
-        raise RejectedInputError("graph is not a cycle")
-    # connected and 2-regular: without vertex 0 it is a path between 0's neighbors
-    return [0] + _path_order(G.adjacency, range(1, G.n))
+    elif all(G.degree(v) == 2 for v in range(G.n)):
+        # a 2-regular graph without vertex 0 is a path between 0's neighbors
+        # exactly when the graph is connected
+        tail = _path_order(G.adjacency, range(1, G.n))
+        order = None if tail is None else [0] + tail
+    else:
+        order = None
+    if order is None:
+        raise RejectedInputError(f"graph is not a {'cycle' if closed else 'path'}")
+    return order
 
 
 def _emit(args, record: dict, dot: Callable[[], str] | None = None) -> None:
@@ -328,13 +328,16 @@ _GEN_KINDS: dict[str, Callable] = {
 
 def cmd_gen(args) -> int:
     prefix = Path(args.out)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
     files: list[str] = []
     record: dict = {"command": "gen", "kind": args.kind, "seed": args.seed}
 
     def write(suffix: str, text: str) -> None:
         path = prefix.parent / (prefix.name + suffix)
-        path.write_text(text)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {path}: {exc}") from exc
         files.append(str(path))
 
     G = _GEN_KINDS[args.kind](args, random.Random(args.seed), write, record)

@@ -21,27 +21,18 @@ def _ceil_sqrt(n: int) -> int:
 
 
 def burn_path(P) -> list[int]:
-    """Optimal schedule for a path given end-to-end; prepends work right to left.
+    """Optimal schedule for a path given end to end, in k = ceil(sqrt(n)) rounds.
 
-    Sources sit at 1-based positions n - i*i - i for i = 0..k-2, and the final
-    (first-round) source at n-(k-1)^2-(k-1) when that stays positive, else at
-    position 1.
+    Round k - i ignites the 1-based position max(1, n - i(i+1)), for i = k-1
+    down to 0: the source of round k - i covers the 2i+1 positions ending at
+    n - i^2, and only the first round's ball can reach past position 1.
     """
     path = list(P)
     n = len(path)
     if n == 0:
         raise RejectedInputError("cannot burn an empty path")
     k = _ceil_sqrt(n)
-    schedule: list[int] = []
-    for i in range(k - 1):
-        position = n - i * i - i
-        schedule.insert(0, path[position - 1])
-    if n > (k - 1) ** 2 + k:
-        position = n - (k - 1) ** 2 - (k - 1)
-    else:
-        position = 1
-    schedule.insert(0, path[position - 1])
-    return schedule
+    return [path[max(1, n - i * (i + 1)) - 1] for i in range(k - 1, -1, -1)]
 
 
 def burn_cycle(C) -> list[int]:

@@ -241,7 +241,8 @@ def certificate_record(cert: GadgetCertificate) -> dict:
 def load_certificate_record(text: str) -> dict:
     try:
         record = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer literal past the digit limit, or nesting too deep
         raise ParseError(f"bad certificate JSON: {exc}") from exc
     if not isinstance(record, dict) or "claimed_k" not in record:
         raise ParseError("certificate JSON missing required fields")

@@ -210,6 +210,11 @@ def _split_consecutively(vertices: Sequence[int], orders: Sequence[int]) -> list
     return out
 
 
+def _forest_orders(inst: D3PInstance) -> list[int]:
+    """Path orders of the forest every gadget embeds: n of order 2b-3, then y descending."""
+    return [inst.b_prime] * inst.n + list(inst.y_descending)
+
+
 def _base_params(inst: D3PInstance) -> dict:
     return {
         "x": list(inst.x),
@@ -255,21 +260,14 @@ def gen_ig_gadget(inst: D3PInstance, solution=None) -> GadgetCertificate:
     largest decomposition segment in round i.  The graph is the interval
     graph of the emitted representation, so the two cannot disagree.
     """
-    n, m, k, b_prime = inst.n, inst.m, inst.k, inst.b_prime
-    y_desc = inst.y_descending
-
-    def comb_order(j: int) -> int:
-        return 2 * (2 * m + 1 - j) + 1
-
+    n, m = inst.n, inst.m
+    forest = _forest_orders(inst)
+    # forest block j, if there is one, then comb T_j
     plan: list[tuple[str, int]] = []
-    for i in range(1, n + 1):
-        plan.append((f"Q{i}", b_prime))
-        plan.append((f"T{i}", comb_order(i)))
-    for j in range(1, k + 1):
-        plan.append((f"Q'{j}", y_desc[j - 1]))
-        plan.append((f"T{n + j}", comb_order(n + j)))
-    for j in range(n + k + 1, m + 2):
-        plan.append((f"T{j}", comb_order(j)))
+    for j in range(1, m + 2):
+        if j <= len(forest):
+            plan.append((f"Q{j}" if j <= n else f"Q'{j - n}", forest[j - 1]))
+        plan.append((f"T{j}", 2 * (2 * m + 1 - j) + 1))
 
     segments: dict[str, tuple[int, ...]] = {}
     next_id = 0
@@ -301,13 +299,13 @@ def gen_ig_gadget(inst: D3PInstance, solution=None) -> GadgetCertificate:
 
     canonical = None
     if solution is not None:
+        forest_blocks = [segments[label] for label, _ in plan if label.startswith("Q")]
         canonical = tuple(
             _canonical_middles(
                 inst,
                 solution,
-                [segments[f"Q{i}"] for i in range(1, n + 1)],
-                [segments[f"Q'{j}"] for j in range(1, k + 1)]
-                + [segments[f"T{j}"] for j in range(1, m + 2)],
+                forest_blocks[:n],
+                forest_blocks[n:] + [segments[f"T{j}"] for j in range(1, m + 2)],
             )
         )
 
@@ -331,36 +329,15 @@ def gen_ig_gadget(inst: D3PInstance, solution=None) -> GadgetCertificate:
 def _permutation_block(x: int, y: int) -> list[int]:
     """A permutation of x..y whose inversion graph is a path on y-x+1 vertices."""
     t = y - x + 1
-    # the general formula indexes out of range at t = 1, and at t = 4 gives
-    # another valid block than the one kept here
-    if t == 1:
-        return [x]
+    # at t = 4 the rule gives another valid block than the one kept here
     if t == 4:
         return [x + 1, y, x, x + 2]
-    out = [0] * t
-    if t % 2 == 0:
-        for i in range(1, t - 2, 2):
-            out[i - 1] = 2 + (x + i - 1)
-        out[t - 2] = y
-        for i in range(4, t + 1, 2):
-            out[i - 1] = (x + i - 1) - 2
-        out[1] = x
-    else:
-        for i in range(1, t - 1, 2):
-            out[i - 1] = 2 + (x + i - 1)
-        out[t - 1] = y - 1
-        for i in range(4, t, 2):
-            out[i - 1] = (x + i - 1) - 2
-        out[1] = x
-    return out
-
-
-def _trace_path(graph: Graph, members: set[int]) -> tuple[int, ...]:
-    """The end-to-end order of a vertex set inducing a path, from its smaller end."""
-    order = _path_order(graph.adjacency, members)
-    if order is None:
-        raise RejectedInputError("vertex block does not induce a path")
-    return tuple(order)
+    # offsets from x run 2, 0, 4, 1, 6, 3, ...: place i holds i+2 when i is
+    # even and i-2 when i is odd, with 0 at place 1; the one offset that
+    # reaches t gives way to the offset the list leaves out
+    offsets = [max(0, i + 2 - 4 * (i % 2)) for i in range(t)]
+    (missing,) = set(range(t)) - set(offsets)
+    return [x + (offset if offset < t else missing) for offset in offsets]
 
 
 def gen_pg_gadget(
@@ -372,17 +349,13 @@ def gen_pg_gadget(
     leftover odd orders in descending order.  Burning the forest in m rounds
     encodes the 3-partition.
     """
-    n, m, k, b_prime = inst.n, inst.m, inst.k, inst.b_prime
-    y_desc = inst.y_descending
+    n, m = inst.n, inst.m
     bounds: list[tuple[int, int]] = []
-    previous_y = 0
-    for j in range(1, n + 1):
-        bounds.append((previous_y + 1, j * b_prime))
-        previous_y = j * b_prime
-    for j in range(1, k + 1):
-        bounds.append((previous_y + 1, previous_y + y_desc[j - 1]))
-        previous_y += y_desc[j - 1]
-    assert previous_y == m * m
+    end = 0
+    for order in _forest_orders(inst):
+        bounds.append((end + 1, end + order))
+        end += order
+    assert end == m * m
 
     perm: list[int] = []
     for x, y in bounds:
@@ -390,9 +363,12 @@ def gen_pg_gadget(
     pp = PermutationPair(tuple(perm))
     graph = permutation_graph(pp)
 
-    blocks = [
-        _trace_path(graph, set(range(x - 1, y))) for x, y in bounds
-    ]
+    blocks = []
+    for x, y in bounds:
+        order = _path_order(graph.adjacency, range(x - 1, y))
+        if order is None:
+            raise RejectedInputError("vertex block does not induce a path")
+        blocks.append(tuple(order))
     name_table = {
         f"Q{j}[{t}]": v
         for j, block in enumerate(blocks, start=1)
@@ -434,7 +410,7 @@ def gen_dk_gadget(
     adjacency is exactly the intended spider-plus-paths (checked before
     returning).  Optimal burning takes m+1 rounds, hub first.
     """
-    n, m, k, b_prime = inst.n, inst.m, inst.k, inst.b_prime
+    n, m, k = inst.n, inst.m, inst.k
     p = m - 1
     if not 2 * (p + 2) <= q <= 3 * p:
         raise RejectedInputError(
@@ -446,7 +422,7 @@ def gen_dk_gadget(
     hub_clearance = Fraction(half_steps, 2)  # ring disks sit at this radius + 1
     hub_radius = hub_clearance + Fraction(1, 2)
 
-    attached = [b_prime] * n + list(inst.y_descending) + [0] * (q - n - k)
+    attached = _forest_orders(inst) + [0] * (q - n - k)
     disks: list[tuple[Fraction, Fraction, Fraction]] = [
         (Fraction(0), Fraction(0), hub_radius)
     ]

@@ -174,6 +174,24 @@ class TestBurnCommand:
         record = json.loads(out)
         assert (record["n"], record["m"], record["valid"]) == (2, m, True)
 
+    @pytest.mark.parametrize(
+        "engine, text",
+        [
+            ("path", "4 2\n0 1\n2 3\n"),  # two paths
+            ("path", "5 4\n0 1\n2 3\n3 4\n4 2\n"),  # a path and a triangle
+            ("path", "2 0\n"),  # two isolated vertices
+            ("cycle", "6 6\n0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n"),  # two triangles
+            ("cycle", "3 2\n0 1\n1 2\n"),  # a path
+        ],
+        ids=["two-paths", "path-and-triangle", "two-vertices", "two-triangles", "path"],
+    )
+    def test_linear_engines_reject_other_graphs(self, engine, text, tmp_path, capsys):
+        target = tmp_path / "g.edges"
+        target.write_text(text)
+        code, out = run_cli("burn", "--engine", engine, str(target))
+        assert (code, out) == (5, "")
+        assert capsys.readouterr().err == f"precondition violated: graph is not a {engine}\n"
+
     def test_timings_add_only_seconds(self, p9):
         _, plain = run_cli("burn", "--engine", "exact", p9)
         code, timed = run_cli("burn", "--engine", "exact", "--timings", p9)
@@ -315,6 +333,55 @@ class TestGenCommand:
     def test_missing_ring_size(self, tmp_path):
         code, _ = run_cli("gen", "dk-gadget", "--x", "4,5,6", "--out", str(tmp_path / "x"))
         assert code == 3
+
+
+class TestUnreadableAndUnwritableFiles:
+    """Files that cannot be decoded, parsed or written exit 3 with a message."""
+
+    def assert_exit_3(self, argv, capsys, *needles):
+        code, out = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert (code, out) == (3, "") and "Traceback" not in err
+        assert err.startswith("parse error: ") and all(needle in err for needle in needles)
+
+    def test_input_not_utf8(self, tmp_path, capsys):
+        target = tmp_path / "bad.edges"
+        target.write_bytes(b"\xff\xfe 3 2\n")
+        self.assert_exit_3(["burn", str(target)], capsys, "cannot read", "bad.edges")
+
+    def test_certificate_not_utf8(self, p9, tmp_path, capsys):
+        cert = tmp_path / "bad.cert.json"
+        cert.write_bytes(b"\xff\xfe{}")
+        self.assert_exit_3(
+            ["verify", "--certificate", str(cert), p9], capsys, "cannot read", "bad.cert.json"
+        )
+
+    def test_certificate_nested_too_deep(self, p9, tmp_path, capsys):
+        cert = tmp_path / "deep.cert.json"
+        cert.write_text("[" * 100_000 + "]" * 100_000)
+        self.assert_exit_3(["verify", "--certificate", str(cert), p9], capsys, "bad certificate JSON")
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no integer digit limit before 3.11"
+    )
+    def test_certificate_integer_past_the_digit_limit(self, p9, tmp_path, capsys):
+        cert = tmp_path / "long.cert.json"
+        cert.write_text('{"claimed_k": ' + "9" * 5000 + "}")
+        self.assert_exit_3(["verify", "--certificate", str(cert), p9], capsys, "bad certificate JSON")
+
+    def test_output_directory_is_a_file(self, tmp_path, capsys):
+        (tmp_path / "plain").write_text("")
+        prefix = tmp_path / "plain" / "x"
+        self.assert_exit_3(
+            ["gen", "path", "--n", "3", "--out", str(prefix)], capsys, f"cannot write {prefix}.edges"
+        )
+
+    def test_output_file_is_a_directory(self, tmp_path, capsys):
+        (tmp_path / "x.edges").mkdir()
+        prefix = tmp_path / "x"
+        self.assert_exit_3(
+            ["gen", "path", "--n", "3", "--out", str(prefix)], capsys, f"cannot write {prefix}.edges"
+        )
 
 
 class TestFirefightAndPercolate:

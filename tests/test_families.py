@@ -43,6 +43,23 @@ def figure_split_graph():
     )
 
 
+def reference_burn_path(P) -> list[int]:
+    """A loop-and-branch statement of the path schedule, kept to check the closed form."""
+    path = list(P)
+    n = len(path)
+    k = math.isqrt(n - 1) + 1
+    schedule: list[int] = []
+    for i in range(k - 1):
+        position = n - i * i - i
+        schedule.insert(0, path[position - 1])
+    if n > (k - 1) ** 2 + k:
+        position = n - (k - 1) ** 2 - (k - 1)
+    else:
+        position = 1
+    schedule.insert(0, path[position - 1])
+    return schedule
+
+
 class TestBurnPath:
     def test_nine_vertices(self):
         assert burn_path(range(9)) == [2, 6, 8]
@@ -58,6 +75,10 @@ class TestBurnPath:
     def test_empty_rejected(self):
         with pytest.raises(RejectedInputError):
             burn_path([])
+
+    def test_matches_reference(self):
+        for n in range(1, 3001):
+            assert burn_path(range(n)) == reference_burn_path(range(n)), n
 
     def test_square_root_length_and_validity(self):
         for n in list(range(1, 60)) + [97, 255, 1000]:

@@ -30,6 +30,31 @@ DESK_X = [4, 5, 6]
 FULL_X = [10, 11, 12, 14, 15, 16]
 
 
+def reference_permutation_block(x: int, y: int) -> list[int]:
+    """An even/odd statement of the path blocks, kept to check the one-rule form."""
+    t = y - x + 1
+    if t == 1:
+        return [x]
+    if t == 4:
+        return [x + 1, y, x, x + 2]
+    out = [0] * t
+    if t % 2 == 0:
+        for i in range(1, t - 2, 2):
+            out[i - 1] = 2 + (x + i - 1)
+        out[t - 2] = y
+        for i in range(4, t + 1, 2):
+            out[i - 1] = (x + i - 1) - 2
+        out[1] = x
+    else:
+        for i in range(1, t - 1, 2):
+            out[i - 1] = 2 + (x + i - 1)
+        out[t - 1] = y - 1
+        for i in range(4, t, 2):
+            out[i - 1] = (x + i - 1) - 2
+        out[1] = x
+    return out
+
+
 class TestValidateD3p:
     def test_full_instance_parameters(self):
         inst = validate_d3p(FULL_X)
@@ -269,6 +294,12 @@ class TestPgGadget:
         for comp in comps:
             degrees = sorted(g.degree(v) for v in comp)
             assert degrees[:2] == [1, 1] and all(d == 2 for d in degrees[2:])
+
+    def test_blocks_match_reference(self):
+        for x in range(1, 41):
+            for t in range(1, 61):
+                y = x + t - 1
+                assert _permutation_block(x, y) == reference_permutation_block(x, y), (x, t)
 
     def test_small_blocks(self):
         for x, y in ((5, 5), (5, 6), (5, 7), (5, 8), (5, 9), (5, 10)):

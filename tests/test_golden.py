@@ -89,6 +89,8 @@ def _cases() -> list[list[str]]:
         ["burn", "--engine", "approx3", "--trace", "--format", "disks", "dk456.disks"],
         # disks on the boundary: tangencies, a duplicate, a nested and a giant disk
         ["burn", "--engine", "approx3", "--format", "disks", "tangent.disks"],
+        # denominators past 2**64, tangency and a miss by one unit of them, a 1e4300 centre
+        ["burn", "--engine", "approx3", "--format", "disks", "bigden.disks"],
         # diameter ties and the radius bound on larger graphs
         ["burn", "--engine", "interval-approx", "grid56.edges"],
         ["burn", "--engine", "interval-approx", "sp55.edges"],

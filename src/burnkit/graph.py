@@ -216,6 +216,11 @@ Rational = Fraction | int | str
 
 def _as_fraction(value) -> Fraction:
     try:
+        if isinstance(value, str):
+            # Fraction would build 10**exponent: cap it at Python's int digit limit
+            _, e, exponent = value.lower().rpartition("e")
+            if e and abs(int(exponent)) > 4300:
+                raise RejectedInputError(f"exponent of {value!r} exceeds 4300 in absolute value")
         return Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise RejectedInputError(f"not a rational number: {value!r}") from exc
@@ -313,38 +318,29 @@ class DiskArrangement:
         return cls(tuple((_as_fraction(x), _as_fraction(y), _as_fraction(r)) for x, y, r in triples))
 
 
-def _floats(disk: tuple[Fraction, ...]) -> tuple[float, ...]:
-    """The disk in floats; all NaN beyond the float range, so the exact test decides."""
-    try:
-        return tuple(map(float, disk))
-    except OverflowError:
-        return (math.nan,) * 3
-
-
 def disk_graph(D: DiskArrangement) -> Graph:
     """Edge wherever two closed disks intersect (tangency counts).
 
     Two disks meet only if their x-extents ``[x - r, x + r]`` do, since a
     shared point's x lies in both; so only the pairs that ``_overlaps`` finds
-    among the exact x-extents are tested.  Decisions are exact: a float
-    prescreen settles pairs with a clear margin, and the rest, near the
-    boundary or beyond the float range, fall back to rational arithmetic.
+    among the exact x-extents are tested.  Each test is one exact integer
+    comparison.  A disk is held as ``(X, Y, R, d)``, its coordinates times d,
+    the lcm of their denominators; two disks meet iff
+    ``(Xa db - Xb da)^2 + (Ya db - Yb da)^2 <= (Ra db + Rb da)^2``, both sides
+    being the rational test times ``(da db)^2``.  Each pair scales by its own
+    ``da db``: one lcm over all disks could carry the product of every
+    denominator in every coordinate.
     """
     disks = D.disks
-    floats = [_floats(disk) for disk in disks]
+    scaled = []
+    for disk in disks:
+        d = math.lcm(*(c.denominator for c in disk))
+        scaled.append(tuple(c.numerator * (d // c.denominator) for c in disk) + (d,))
     edges = []
     for a, b in _overlaps([(x - r, x + r) for x, _, r in disks]):
-        xa, ya, ra = floats[a]
-        xb, yb, rb = floats[b]
-        dx, dy, reach = xa - xb, ya - yb, ra + rb
-        gap = dx * dx + dy * dy - reach * reach
-        scale = max(1.0, abs(xa), abs(ya), abs(xb), abs(yb), reach)
-        # an overflow anywhere leaves the gap infinite or NaN
-        if math.isfinite(gap) and abs(gap) > 1e-9 * scale * scale:
-            adjacent = gap < 0
-        else:
-            (xa, ya, ra), (xb, yb, rb) = disks[a], disks[b]
-            adjacent = (xa - xb) ** 2 + (ya - yb) ** 2 <= (ra + rb) ** 2
-        if adjacent:
+        xa, ya, ra, da = scaled[a]
+        xb, yb, rb, db = scaled[b]
+        dx, dy, reach = xa * db - xb * da, ya * db - yb * da, ra * db + rb * da
+        if dx * dx + dy * dy <= reach * reach:
             edges.append((a, b))
     return from_edge_list(len(disks), edges)

@@ -369,6 +369,20 @@ class TestUnreadableAndUnwritableFiles:
         cert.write_text('{"claimed_k": ' + "9" * 5000 + "}")
         self.assert_exit_3(["verify", "--certificate", str(cert), p9], capsys, "bad certificate JSON")
 
+    @pytest.mark.parametrize("token", ["1e4301", "1e-4301", "1e999999999"])
+    @pytest.mark.parametrize(
+        "fmt, text",
+        [("disks", "0 0 1\n0 {} 1\n"), ("intervals", "{} 1e4300\n")],
+        ids=["disks", "intervals"],
+    )
+    def test_rational_exponent_past_the_digit_limit(self, fmt, text, token, tmp_path, capsys):
+        # rejected before 10**exponent is built, which would take hours for 1e999999999
+        target = tmp_path / f"huge.{fmt}"
+        target.write_text(text.format(token))
+        self.assert_exit_3(
+            ["burn", "--engine", "approx3", "--format", fmt, str(target)], capsys, "exceeds 4300"
+        )
+
     def test_output_directory_is_a_file(self, tmp_path, capsys):
         (tmp_path / "plain").write_text("")
         prefix = tmp_path / "plain" / "x"

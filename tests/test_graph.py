@@ -368,6 +368,9 @@ _DIRECTIONS = [(1, 0), (0, 1), (-1, 0), (0, -1)] + [
 ]
 
 
+# pairwise coprime, each past 2**64
+_BIG_DENOMINATORS = (3**41, 2**67, 5**28, 7**23)
+
 def _random_arrangement(rng):
     """Rational disks with tangencies, near misses, duplicates, nesting and maybe one giant."""
     disks = []
@@ -385,6 +388,14 @@ def _random_arrangement(rng):
             # tangent, or off by a hair either way
             s += rng.choice((0, 0, Fraction(1, 10**9), -Fraction(1, 10**9)))
             disks.append((x + (r + s) * dx, y + (r + s) * dy, s))
+        elif disks and roll < 0.65:
+            # the same at a denominator past 2**64: tangent, or off by one unit of it
+            x, y, r = rng.choice(disks)
+            unit = Fraction(1, rng.choice(_BIG_DENOMINATORS))
+            s = rng.randint(1, 8 * unit.denominator) * unit
+            dx, dy = rng.choice(_DIRECTIONS)
+            reach = r + s + rng.choice((0, 0, unit, -unit))
+            disks.append((x + reach * dx, y + reach * dy, s))
         else:
             disks.append(
                 (
@@ -397,6 +408,22 @@ def _random_arrangement(rng):
         giant = (Fraction(rng.randint(-80, 80)), Fraction(rng.randint(-80, 80)), Fraction(rng.randint(40, 500)))
         disks.insert(rng.randint(0, len(disks)), giant)
     return DiskArrangement(tuple(disks))
+
+
+class TestRationalTokens:
+    @pytest.mark.parametrize("token", ["1e4300", "1e-4300", "-2.5E+4300"])
+    def test_exponent_at_the_digit_limit_is_accepted(self, token):
+        value = Fraction(token)
+        assert DiskArrangement.from_triples([(token, 0, 1)]).disks[0][0] == value
+        assert IntervalSet.from_pairs([(value - 1, token)]).intervals[0][1] == value
+
+    @pytest.mark.parametrize("token", ["1e4301", "1e-4301", "1e999999999"])
+    def test_exponent_past_the_digit_limit_is_rejected(self, token):
+        # checked before Fraction would build 10**exponent
+        with pytest.raises(RejectedInputError, match="exceeds 4300"):
+            DiskArrangement.from_triples([(0, token, 1)])
+        with pytest.raises(RejectedInputError, match="exceeds 4300"):
+            IntervalSet.from_pairs([(token, "2e4300")])
 
 
 class TestDiskGraph:

@@ -371,6 +371,7 @@ _DIRECTIONS = [(1, 0), (0, 1), (-1, 0), (0, -1)] + [
 # pairwise coprime, each past 2**64
 _BIG_DENOMINATORS = (3**41, 2**67, 5**28, 7**23)
 
+
 def _random_arrangement(rng):
     """Rational disks with tangencies, near misses, duplicates, nesting and maybe one giant."""
     disks = []

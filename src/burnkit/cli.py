@@ -38,6 +38,7 @@ from .errors import (
 from .graph import (
     Graph,
     _path_order,
+    components,
     disk_graph,
     from_edge_list,
     interval_graph,
@@ -180,6 +181,7 @@ def cmd_burn(args) -> int:
     sequence, extras = _BURN_ENGINES[args.engine](args, G)
     elapsed = time.perf_counter() - started
     outcome = simulate(G, sequence)
+    comps = components(G)
     record = {
         "command": "burn",
         "engine": args.engine,
@@ -192,8 +194,8 @@ def cmd_burn(args) -> int:
         "valid": outcome.valid and outcome.complete,
         "complete": outcome.complete,
         "bounds": {
-            "lower": exact.lower_bound(G),
-            "upper": exact.upper_bound_radius(G),
+            "lower": exact._lower_bound(G, comps),
+            "upper": exact._upper_bound_radius(G, comps),
         },
     }
     record.update(extras)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .burning import BurnSchedule, simulate
 from .errors import NodeBudgetError, RejectedInputError, VertexCapError
 from .families import _ceil_sqrt
-from .graph import UNREACHED, Graph, _bfs, _eccentricities, components
+from .graph import UNREACHED, Graph, _bfs, _EccentricityBounds, components
 
 _FAR = 1 << 30  # larger than any finite distance
 
@@ -45,7 +45,11 @@ def _is_path_forest(G: Graph, comps: list[frozenset[int]]) -> bool:
 def lower_bound(G: Graph) -> int:
     """Max of the component count, the square-root law for path forests, and
     the square-root of each tree component's diameter-path order."""
-    comps = components(G)
+    return _lower_bound(G, components(G))
+
+
+def _lower_bound(G: Graph, comps: list[frozenset[int]]) -> int:
+    """``lower_bound`` given ``components(G)``."""
     bound = len(comps)
     if _is_path_forest(G, comps):
         bound = max(bound, _ceil_sqrt(G.n))
@@ -66,12 +70,20 @@ def lower_bound(G: Graph) -> int:
 def upper_bound_radius(G: Graph) -> int:
     """Radius bound: worst component radius plus the number of components.
 
-    A component's radius is the least eccentricity among its vertices; the
-    eccentricities come from one BFS per vertex, so the cost is O(n(n + m)).
+    A component's radius is the least eccentricity among its vertices.  It
+    comes from bounding eccentricities with a few BFS runs (see
+    ``graph._EccentricityBounds``), which stop once the least lower bound in the
+    component equals its least upper bound.  On a vertex-transitive component
+    the bounds do not close, and after a few runs the fallback finishes with
+    one plain BFS per undecided vertex.
     """
-    comps = components(G)
-    ecc = _eccentricities(G.adjacency)
-    return max((min(ecc[v] for v in comp) for comp in comps), default=0) + len(comps)
+    return _upper_bound_radius(G, components(G))
+
+
+def _upper_bound_radius(G: Graph, comps: list[frozenset[int]]) -> int:
+    """``upper_bound_radius`` given ``components(G)``."""
+    radii = (_EccentricityBounds(G.adjacency, sorted(comp)).radius() for comp in comps)
+    return max(radii, default=0) + len(comps)
 
 
 def burning_number_bruteforce(G: Graph, cap: int = 9) -> ExactResult:

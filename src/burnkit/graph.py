@@ -120,9 +120,69 @@ def _ball(
     return dist
 
 
-def _eccentricities(adjacency: Sequence[Sequence[int]]) -> list[int]:
-    """Each vertex's eccentricity within its own component, one BFS row at a time."""
-    return [max(_bfs(adjacency, v)) for v in range(len(adjacency))]
+class _EccentricityBounds:
+    """Bounds ``lower[i] <= ecc(members[i]) <= upper[i]`` over one component,
+    tightened one BFS at a time (Takes & Kosters 2011).
+
+    A BFS from v fixes e = ecc(v) and bounds every member u at distance d by
+    ``max(d, e - d) <= ecc(u) <= e + d``.  A member is decided once its bounds
+    meet.  Bounds cannot close on a vertex-transitive graph, where a run
+    decides only its own source, so once the runs exceed
+    ``4 + decided / 2`` the next ``probe`` runs one plain BFS per open member
+    instead, which decides them all.
+    """
+
+    def __init__(self, adjacency: Sequence[Sequence[int]], members: Sequence[int]):
+        self.adjacency = adjacency
+        self.members = members
+        self.lower = [0] * len(members)
+        self.upper = [2 * len(adjacency)] * len(members)  # above any e + d
+        self.runs = 0
+        self.decided = 0
+
+    def tighten(self, dist: list[int]) -> None:
+        """Apply one BFS row whose source is a member."""
+        self.runs += 1
+        e = max(dist)
+        lower, upper = self.lower, self.upper
+        for i, u in enumerate(self.members):
+            low, high = lower[i], upper[i]
+            if low == high:
+                continue
+            d = dist[u]
+            far = d if d > e - d else e - d
+            if far > low:
+                lower[i] = low = far
+            if e + d < high:
+                upper[i] = high = e + d
+            if low == high:
+                self.decided += 1
+
+    def probe(self, i: int) -> None:
+        """Decide member i, and more: by one bounding BFS, or by the fallback."""
+        if self.runs <= 4 + self.decided / 2:
+            self.tighten(_bfs(self.adjacency, self.members[i]))
+            return
+        lower, upper = self.lower, self.upper
+        for j, u in enumerate(self.members):
+            if lower[j] < upper[j]:
+                lower[j] = upper[j] = max(_bfs(self.adjacency, u))
+        self.decided = len(self.members)
+
+    def pick(self) -> int:
+        """The next member to probe: the open one of smallest lower bound after
+        an odd number of runs, else of largest upper bound; ties to the smallest."""
+        lower, upper = self.lower, self.upper
+        open_ = [i for i in range(len(self.members)) if lower[i] < upper[i]]
+        if self.runs % 2:
+            return min(open_, key=lower.__getitem__)
+        return max(open_, key=upper.__getitem__)
+
+    def radius(self) -> int:
+        """The least eccentricity: probe until the least lower bound is the least upper bound."""
+        while min(self.lower) < min(self.upper):
+            self.probe(self.pick())
+        return min(self.upper)
 
 
 def _path_order(adjacency: Sequence[Sequence[int]], members: Iterable[int]) -> list[int] | None:
@@ -171,13 +231,18 @@ def neighborhood(G: Graph, X: Iterable[int], i: int) -> set[int]:
 
 def components(G: Graph) -> list[frozenset[int]]:
     """Connected components, ordered by their smallest vertex."""
-    seen: set[int] = set()
+    seen = [False] * G.n
     out: list[frozenset[int]] = []
     for start in range(G.n):
-        if start not in seen:
-            comp = frozenset(_ball(G.adjacency, (start,), G.n))
-            seen |= comp
-            out.append(comp)
+        if not seen[start]:
+            seen[start] = True
+            reached = [start]
+            for v in reached:  # the list grows as the search reaches vertices
+                for u in G.adjacency[v]:
+                    if not seen[u]:
+                        seen[u] = True
+                        reached.append(u)
+            out.append(frozenset(reached))
     return out
 
 
@@ -185,18 +250,33 @@ def diameter_path(G: Graph) -> list[int]:
     """A longest shortest path, deterministic by smallest (source, target, path).
 
     The source is the smallest vertex of greatest eccentricity and the target
-    the smallest vertex farthest from it.  Extra memory is O(n): the BFS rows
-    are read one at a time, and only the row of the target is kept.
+    the smallest vertex farthest from it.  Eccentricities are bounded from a
+    few BFS runs (see ``_EccentricityBounds``), the first from vertex 0, which
+    also checks connectivity.  The diameter D is fixed once the largest upper
+    bound equals the largest lower bound; the source is then the smallest
+    vertex whose upper bound reaches D, once its lower bound does too.  On a
+    vertex-transitive graph the bounds do not close, and after a few runs the
+    fallback finishes with one plain BFS per undecided vertex.  Extra memory
+    is O(n): the BFS rows are read one at a time.
 
     Raises DisconnectedGraphError when the diameter is undefined.
     """
     if G.n == 0:
         raise DisconnectedGraphError("diameter undefined for the empty graph")
-    if UNREACHED in _bfs(G.adjacency, 0):
+    first = _bfs(G.adjacency, 0)
+    if UNREACHED in first:
         raise DisconnectedGraphError("diameter undefined for a disconnected graph")
-    ecc = _eccentricities(G.adjacency)
-    best = max(ecc)
-    source = ecc.index(best)
+    ecc = _EccentricityBounds(G.adjacency, range(G.n))
+    ecc.tighten(first)
+    while True:
+        best = max(ecc.lower)
+        if max(ecc.upper) > best:
+            ecc.probe(ecc.pick())
+            continue
+        source = next(v for v, high in enumerate(ecc.upper) if high >= best)
+        if ecc.lower[source] == best:
+            break
+        ecc.probe(source)
     target = _bfs(G.adjacency, source).index(best)
     # Greedy minimal-neighbor descent on distances-to-target yields the
     # lexicographically smallest shortest path.

@@ -6,6 +6,7 @@ import itertools
 import random
 
 from burnkit import Graph, SplitPartition, from_edge_list, verify
+from burnkit.graph import _bfs
 
 
 def path_graph(n: int) -> Graph:
@@ -24,6 +25,26 @@ def grid_graph(rows: int, cols: int) -> Graph:
     edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
     edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
     return from_edge_list(rows * cols, edges)
+
+
+def hypercube_graph(dim: int) -> Graph:
+    n = 1 << dim
+    return from_edge_list(n, [(v, v | 1 << b) for v in range(n) for b in range(dim) if not v >> b & 1])
+
+
+def petersen_graph() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return from_edge_list(10, outer + spokes + inner)
+
+
+def eccentricities(G: Graph) -> list[int]:
+    """Each vertex's eccentricity within its own component, one BFS per vertex.
+
+    The reference for the bounded eccentricity search in ``burnkit.graph``.
+    """
+    return [max(_bfs(G.adjacency, v)) for v in range(G.n)]
 
 
 def fig_example_graph() -> Graph:

@@ -1,0 +1,237 @@
+"""Bounded eccentricities behind ``diameter_path`` and ``upper_bound_radius``.
+
+The all-BFS ``helpers.eccentricities`` and networkx are the oracles.  The
+work contract counts ``graph._bfs`` calls: on paths, grids and interval
+gadgets the bounds close after a constant number of BFS runs, whatever n.
+"""
+
+import io
+import random
+from contextlib import redirect_stdout
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from burnkit import (
+    DisconnectedGraphError,
+    components,
+    diameter_path,
+    from_edge_list,
+    upper_bound_radius,
+)
+from burnkit import cli, exact, graph
+from burnkit.formats import format_edge_list
+from burnkit.graph import _bfs, _EccentricityBounds
+from burnkit.hardness import gen_ig_gadget, gen_spider, gen_spider_forest, validate_d3p
+
+from helpers import (
+    complete_graph,
+    cycle_graph,
+    eccentricities,
+    grid_graph,
+    hypercube_graph,
+    path_graph,
+    petersen_graph,
+    random_connected_graph,
+    random_graph,
+    random_tree,
+)
+
+DIAMETER_RUNS = 8
+"""BFS runs of ``diameter_path`` on paths, grids and ig gadgets: at most six
+that bound eccentricities (the first from vertex 0), one from the source and
+one from the target."""
+RADIUS_RUNS = 4
+"""BFS runs of ``upper_bound_radius`` on paths, grids and ig gadgets."""
+
+
+def _families() -> dict:
+    rng = random.Random(53)
+    return {
+        "random-connected": [
+            random_connected_graph(rng, rng.randint(1, 30), rng.uniform(0.05, 0.5)) for _ in range(60)
+        ],
+        "random-sparse": [random_graph(rng, rng.randint(1, 30), rng.uniform(0.0, 0.15)) for _ in range(60)],
+        "trees": [random_tree(rng, rng.randint(1, 60)) for _ in range(40)]
+        + [gen_spider(4, 5), gen_spider_forest([2, 3, 4])],
+        "cycles": [cycle_graph(n) for n in range(3, 30)],
+        "complete": [complete_graph(n) for n in range(1, 12)],
+        "regular": [petersen_graph()] + [hypercube_graph(dim) for dim in range(7)],
+        "grids": [path_graph(n) for n in (1, 2, 3, 10, 57)]
+        + [grid_graph(r, c) for r, c in ((2, 2), (3, 7), (6, 6), (5, 11))],
+        "ig-gadget": [gen_ig_gadget(validate_d3p([4, 5, 6])).graph],
+    }
+
+
+FAMILIES = _families()
+
+
+def _connected(g) -> bool:
+    return len(components(g)) == 1
+
+
+def _expected_diameter_path_ends(g) -> tuple[int, int, int]:
+    """(source, target, D) by the contract, from the all-BFS oracle."""
+    ecc = eccentricities(g)
+    best = max(ecc)
+    source = ecc.index(best)
+    return source, _bfs(g.adjacency, source).index(best), best
+
+
+def _expected_radius_bound(g) -> int:
+    ecc = eccentricities(g)
+    comps = components(g)
+    return max((min(ecc[v] for v in comp) for comp in comps), default=0) + len(comps)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_bounds_bracket_every_eccentricity(family):
+    rng = random.Random(family)
+    for g in FAMILIES[family]:
+        ecc = eccentricities(g)
+        for comp in components(g):
+            members = sorted(comp)
+            bounds = _EccentricityBounds(g.adjacency, members)
+            for _ in range(min(len(members), 8)):
+                bounds.probe(rng.randrange(len(members)))
+                for i, v in enumerate(members):
+                    assert bounds.lower[i] <= ecc[v] <= bounds.upper[i], (g.edges(), v)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_diameter_source_matches_oracle(family):
+    for g in FAMILIES[family]:
+        if g.n == 0 or not _connected(g):
+            with pytest.raises(DisconnectedGraphError):
+                diameter_path(g)
+            continue
+        source, target, best = _expected_diameter_path_ends(g)
+        path = diameter_path(g)
+        assert (path[0], path[-1], len(path) - 1) == (source, target, best), g.edges()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_radius_bound_matches_oracle(family):
+    for g in FAMILIES[family]:
+        assert upper_bound_radius(g) == _expected_radius_bound(g), g.edges()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_matches_networkx(family):
+    nx = pytest.importorskip("networkx")
+    for g in FAMILIES[family]:
+        h = nx.Graph(g.edges())
+        h.add_nodes_from(range(g.n))
+        parts = [h.subgraph(c) for c in nx.connected_components(h)]
+        assert upper_bound_radius(g) == max((nx.radius(c) for c in parts), default=0) + len(parts)
+        if len(parts) == 1:
+            ecc = nx.eccentricity(h)
+            diameter = nx.diameter(h)
+            path = diameter_path(g)
+            assert len(path) - 1 == diameter
+            assert path[0] == min(v for v in range(g.n) if ecc[v] == diameter)
+
+
+@given(
+    st.integers(1, 12).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])),
+        )
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_small_graphs_match_oracle(case):
+    n, edges = case
+    g = from_edge_list(n, edges)
+    assert upper_bound_radius(g) == _expected_radius_bound(g)
+    if _connected(g):
+        source, target, best = _expected_diameter_path_ends(g)
+        path = diameter_path(g)
+        assert (path[0], path[-1], len(path) - 1) == (source, target, best)
+
+
+# -- work contract -------------------------------------------------------------
+
+
+@pytest.fixture
+def bfs_runs(monkeypatch):
+    """Counts every ``graph._bfs`` call made while the test runs."""
+    runs = [0]
+    original = graph._bfs
+
+    def counting(adjacency, source):
+        runs[0] += 1
+        return original(adjacency, source)
+
+    monkeypatch.setattr(graph, "_bfs", counting)
+
+    def measure(fn, g) -> int:
+        runs[0] = 0
+        fn(g)
+        return runs[0]
+
+    return measure
+
+
+SCALED = {
+    # each family at about n and 4n vertices
+    "path": [path_graph(250), path_graph(1000)],
+    "grid": [grid_graph(10, 10), grid_graph(20, 20), grid_graph(10, 40), grid_graph(20, 80)],
+    "ig-gadget": [gen_ig_gadget(validate_d3p(x)).graph for x in ([4, 5, 6], [7, 8, 12], [8, 9, 13])],
+}
+
+
+@pytest.mark.parametrize("family", SCALED)
+def test_constant_bfs_runs_on_paths_grids_and_gadgets(family, bfs_runs):
+    for g in SCALED[family]:
+        assert bfs_runs(diameter_path, g) <= DIAMETER_RUNS, g.n
+        assert bfs_runs(upper_bound_radius, g) <= RADIUS_RUNS, g.n
+
+
+def test_cycles_take_one_bfs_per_vertex_at_most(bfs_runs):
+    # every bounding run decides its own source, and the fallback one open vertex
+    # per BFS, so the bound needs at most n runs and diameter_path two more rows
+    for n in (40, 100, 400):  # smaller cycles are in FAMILIES
+        g = cycle_graph(n)
+        assert bfs_runs(upper_bound_radius, g) <= n
+        assert bfs_runs(diameter_path, g) <= n + 2
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_never_more_bfs_runs_than_vertices(family, bfs_runs):
+    for g in FAMILIES[family]:
+        assert bfs_runs(upper_bound_radius, g) <= g.n
+        if g.n and _connected(g):
+            assert bfs_runs(diameter_path, g) <= g.n + 2
+
+
+BURN_INPUTS = {
+    "path": path_graph(9),
+    "cycle": cycle_graph(9),
+    "approx3": random_tree(random.Random(3), 20),
+    "interval-approx": path_graph(12),
+    "split": complete_graph(5),
+    "cograph": complete_graph(5),
+    "bruteforce": path_graph(7),
+    "exact": gen_spider_forest([2, 3]),
+}
+
+
+@pytest.mark.parametrize("engine", BURN_INPUTS)
+def test_burn_computes_components_once(engine, tmp_path, monkeypatch):
+    calls = []
+
+    def counting(g):
+        calls.append(g.n)
+        return components(g)
+
+    monkeypatch.setattr(cli, "components", counting)
+    monkeypatch.setattr(exact, "components", counting)
+    target = tmp_path / "input.edges"
+    target.write_text(format_edge_list(BURN_INPUTS[engine]))
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["burn", "--engine", engine, str(target)]) == 0
+    # the exact engine makes one more call, for its own starting depth
+    assert len(calls) == (2 if engine == "exact" else 1)

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 from .burning import BurnSchedule, simulate
 from .errors import NodeBudgetError, RejectedInputError, VertexCapError
 from .families import _ceil_sqrt
-from .graph import UNREACHED, Graph, _bfs, _EccentricityBounds, components
-
-_FAR = 1 << 30  # larger than any finite distance
+from .graph import Graph, _ball, _bfs, _EccentricityBounds, components
 
 
 @dataclass(frozen=True)
@@ -27,12 +25,19 @@ class ExactResult:
     nodes_explored: int
 
 
-def _distance_matrix(G: Graph) -> list[list[int]]:
-    rows = []
+def _ball_masks(G: Graph, k: int) -> list[list[int]]:
+    """``masks[r][v]``: the bitmask of ball(v, r) for r < k, from one sparse
+    ``graph._ball`` of radius k - 1 per vertex: Σ|ball| work, not n²."""
+    masks = [[0] * G.n for _ in range(k)]
     for v in range(G.n):
-        row = _bfs(G.adjacency, v)
-        rows.append([_FAR if d == UNREACHED else d for d in row])
-    return rows
+        shells = [0] * k  # shells[r]: the vertices at distance exactly r
+        for u, d in _ball(G.adjacency, (v,), k - 1).items():
+            shells[d] |= 1 << u
+        ball = 0
+        for r in range(k):
+            ball |= shells[r]
+            masks[r][v] = ball
+    return masks
 
 
 def _is_path_forest(G: Graph, comps: list[frozenset[int]]) -> bool:
@@ -89,6 +94,7 @@ def _upper_bound_radius(G: Graph, comps: list[frozenset[int]]) -> int:
 def burning_number_bruteforce(G: Graph, cap: int = 9) -> ExactResult:
     """Try every ordered vertex tuple by increasing length; first hit wins.
 
+    Tuples are tested by the closed form on the ball masks of ``_ball_masks``.
     The first verifying tuple in enumeration order is also the
     lexicographically smallest witness of minimum length.
     """
@@ -96,28 +102,27 @@ def burning_number_bruteforce(G: Graph, cap: int = 9) -> ExactResult:
         raise RejectedInputError("burning number undefined for the empty graph")
     if G.n > cap:
         raise VertexCapError(G.n, cap)
-    dist = _distance_matrix(G)
+    full = (1 << G.n) - 1
     nodes = 0
     for k in range(1, G.n + 1):
+        masks = _ball_masks(G, k)
         for S in itertools.permutations(range(G.n), k):
             nodes += 1
-            if _verify_by_matrix(dist, G.n, S):
+            if _burns(masks, full, S):
                 return ExactResult(k, simulate(G, S).schedule, nodes)
     raise AssertionError("a burning sequence of length n always exists")
 
 
-def _verify_by_matrix(dist: list[list[int]], n: int, S: tuple[int, ...]) -> bool:
+def _burns(masks: list[list[int]], full: int, S: tuple[int, ...]) -> bool:
+    """x_1..x_k burns G: no x_j in ball(x_i, j - i - 1), and the balls ball(x_i, k - i) cover V."""
     k = len(S)
-    for i in range(k):
-        row = dist[S[i]]
-        for j in range(i + 1, k):
-            if row[S[j]] < j - i:
-                return False
     covered = 0
-    for v in range(n):
-        if any(dist[x][v] <= k - i - 1 for i, x in enumerate(S)):
-            covered += 1
-    return covered == n
+    for i, x in enumerate(S):
+        for j in range(i + 1, k):
+            if masks[j - i - 1][x] >> S[j] & 1:
+                return False
+        covered |= masks[k - i - 1][x]
+    return covered == full
 
 
 class _OutOfBudget(Exception):
@@ -128,10 +133,10 @@ class _Search:
     """Depth-first cover search for one target length k.
 
     ``balls[r][v]`` is the bitmask of the radius-r ball around v, for every
-    r < k, built from one pass over each distance row.  By the closed form of
-    the process, a vertex is a legal source at depth d when it lies outside
-    ball(x_t, d - t - 1) for every earlier source x_t, so the legal set is the
-    complement of one OR of table entries.
+    r < k, from ``_ball_masks``: one sparse ``graph._ball`` per vertex.  By the
+    closed form of the process, a vertex is a legal source at depth d when it
+    lies outside ball(x_t, d - t - 1) for every earlier source x_t, so the
+    legal set is the complement of one OR of table entries.
 
     Every uncovered vertex u is a legal source that covers itself, since
     d(u, x_t) > k - t - 1 >= d - t - 1, so the best gain is >= 1.  The one prune
@@ -139,24 +144,14 @@ class _Search:
     uncapped, then capped by the best gain (balls shrink, legality tightens).
     """
 
-    def __init__(self, G: Graph, dist: list[list[int]], k: int, budget: int | None):
+    def __init__(self, G: Graph, k: int, budget: int | None):
         self.n = G.n
         self.k = k
         self.budget = budget
         self.nodes = 0
         self.full = (1 << G.n) - 1
-        balls = [[0] * G.n for _ in range(k)]
-        for v, row in enumerate(dist):
-            shells = [0] * k  # shells[r]: the vertices at distance exactly r
-            for u, d in enumerate(row):
-                if d < k:
-                    shells[d] |= 1 << u
-            ball = 0
-            for r in range(k):
-                ball |= shells[r]
-                balls[r][v] = ball
-        self.balls = balls
-        self.max_ball = [max(ball.bit_count() for ball in table) for table in balls]
+        self.balls = _ball_masks(G, k)
+        self.max_ball = [max(ball.bit_count() for ball in table) for table in self.balls]
         # reachable[j] bounds how much j balls of radii 0..j-1 can ever cover
         self.reachable = [0, *itertools.accumulate(self.max_ball)]
 
@@ -214,8 +209,9 @@ def burning_number_exact(
 
     Returns the same k as the brute-force oracle with some verified witness
     (not necessarily the lexicographically smallest one).  Each depth k
-    builds one search holding the radius-r ball masks for r < k; a vertex is
-    a legal next source when it lies outside ball(x_t, depth - t - 1) for
+    builds one search holding the radius-r ball masks for r < k, which cost
+    Σ|ball| over one sparse radius-(k - 1) ball per vertex, not n²; a vertex
+    is a legal next source when it lies outside ball(x_t, depth - t - 1) for
     every earlier source x_t.  One node budget covers every depth, so
     ``nodes_explored`` never exceeds it: a search that needs more raises
     NodeBudgetError.  A negative budget is rejected.  ``workers`` must be at
@@ -228,10 +224,9 @@ def burning_number_exact(
         raise RejectedInputError("workers must be >= 1")
     if node_budget is not None and node_budget < 0:
         raise RejectedInputError(f"node budget must be >= 0, got {node_budget}")
-    dist = _distance_matrix(G)
     nodes = 0
     for k in range(lower_bound(G), G.n + 1):
-        search = _Search(G, dist, k, None if node_budget is None else node_budget - nodes)
+        search = _Search(G, k, None if node_budget is None else node_budget - nodes)
         try:
             found = search.run((), 0)
         except _OutOfBudget:

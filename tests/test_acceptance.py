@@ -35,7 +35,7 @@ from burnkit import (
     IntervalSet,
 )
 from burnkit.cli import main as cli_main
-from burnkit.exact import _Search, _distance_matrix
+from burnkit.exact import _Search
 from burnkit.formats import format_edge_list
 
 from helpers import (
@@ -135,7 +135,7 @@ def test_criterion_05_interval_bound():
 
 def _no_cover_at(graph, k: int) -> bool:
     """Exhaustive search: no k-round burning sequence exists for this graph."""
-    search = _Search(graph, _distance_matrix(graph), k, None)
+    search = _Search(graph, k, None)
     if graph.n > search.reachable[k]:
         return True
     return search.run((), 0) is None

@@ -1,12 +1,14 @@
 """Bounded eccentricities behind ``diameter_path`` and ``upper_bound_radius``.
 
 The all-BFS ``helpers.eccentricities`` and networkx are the oracles.  The
-work contract counts ``graph._bfs`` calls: on paths, grids and interval
-gadgets the bounds close after a constant number of BFS runs, whatever n.
+work contract counts ``_bfs`` calls and ``_ball`` vertices: on paths, grids
+and interval gadgets the bounds close after a constant number of BFS runs,
+whatever n, and exact search spends no n² work before its node budget.
 """
 
 import io
 import random
+import sys
 from contextlib import redirect_stdout
 
 import pytest
@@ -15,6 +17,8 @@ from hypothesis import strategies as st
 
 from burnkit import (
     DisconnectedGraphError,
+    NodeBudgetError,
+    burning_number_exact,
     components,
     diameter_path,
     from_edge_list,
@@ -155,24 +159,44 @@ def test_small_graphs_match_oracle(case):
 # -- work contract -------------------------------------------------------------
 
 
+class _Work:
+    """``_bfs`` sources and ``_ball`` vertices reached by one measured call."""
+
+    def __init__(self):
+        self.sources: list[int] = []
+        self.ball_vertices = 0
+
+    def __call__(self, fn, g) -> int:
+        """Run ``fn(g)`` and return its ``_bfs`` runs."""
+        self.sources = []
+        self.ball_vertices = 0
+        fn(g)
+        return len(self.sources)
+
+
 @pytest.fixture
 def bfs_runs(monkeypatch):
-    """Counts every ``graph._bfs`` call made while the test runs."""
-    runs = [0]
-    original = graph._bfs
+    """Counts every ``_bfs`` call and every vertex a ``_ball`` call reaches while
+    the test runs, through each burnkit module's binding of the two kernels."""
+    work = _Work()
+    bfs, ball = graph._bfs, graph._ball
 
-    def counting(adjacency, source):
-        runs[0] += 1
-        return original(adjacency, source)
+    def counting_bfs(adjacency, source):
+        work.sources.append(source)
+        return bfs(adjacency, source)
 
-    monkeypatch.setattr(graph, "_bfs", counting)
+    def counting_ball(adjacency, sources, radius):
+        reached = ball(adjacency, sources, radius)
+        work.ball_vertices += len(reached)
+        return reached
 
-    def measure(fn, g) -> int:
-        runs[0] = 0
-        fn(g)
-        return runs[0]
-
-    return measure
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "burnkit"]
+    for module in modules:
+        if vars(module).get("_bfs") is bfs:
+            monkeypatch.setattr(module, "_bfs", counting_bfs)
+        if vars(module).get("_ball") is ball:
+            monkeypatch.setattr(module, "_ball", counting_ball)
+    return work
 
 
 SCALED = {
@@ -188,6 +212,28 @@ def test_constant_bfs_runs_on_paths_grids_and_gadgets(family, bfs_runs):
     for g in SCALED[family]:
         assert bfs_runs(diameter_path, g) <= DIAMETER_RUNS, g.n
         assert bfs_runs(upper_bound_radius, g) <= RADIUS_RUNS, g.n
+
+
+@pytest.mark.parametrize("family", ["path", "ig-gadget"])
+def test_diameter_path_computes_no_source_row_twice(family, bfs_runs):
+    for g in SCALED[family]:
+        bfs_runs(diameter_path, g)
+        assert len(set(bfs_runs.sources)) == len(bfs_runs.sources), (g.n, bfs_runs.sources)
+
+
+def _exact_at_budget_zero(g):
+    with pytest.raises(NodeBudgetError):
+        burning_number_exact(g, node_budget=0)
+
+
+def test_exact_search_spends_no_quadratic_work_before_the_budget(bfs_runs):
+    # the lower bound's double sweep and the radius bound's two runs; no BFS per vertex
+    n_runs = bfs_runs(_exact_at_budget_zero, path_graph(250))
+    n_ball = bfs_runs.ball_vertices
+    assert n_runs <= 4
+    assert bfs_runs(_exact_at_budget_zero, path_graph(1000)) <= 4
+    # one ball of radius k - 1 ~ sqrt(n) per vertex grows 8x from n to 4n; n² grows 16x
+    assert bfs_runs.ball_vertices <= 10 * n_ball
 
 
 def test_cycles_take_one_bfs_per_vertex_at_most(bfs_runs):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -14,17 +15,43 @@ from burnkit import (
     upper_bound_radius,
     verify,
 )
-from burnkit.exact import _Search
+from burnkit.exact import _ball_masks, _Search
 from burnkit.hardness import gen_spider
 
 from helpers import (
+    all_optimal_sequences,
     complete_graph,
     fig_example_graph,
     grid_graph,
     path_graph,
+    random_connected_graph,
     random_graph,
     random_tree,
 )
+
+
+class TestBallMasks:
+    """``_ball_masks``, the one ball table of both engines, against networkx."""
+
+    def test_matches_networkx_distances(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(61)
+        graphs = [from_edge_list(1, []), from_edge_list(4, []), from_edge_list(6, [(1, 2), (2, 3)])]
+        graphs += [random_graph(rng, rng.randint(1, 16), rng.random() * 0.3) for _ in range(30)]
+        graphs += [
+            random_connected_graph(rng, rng.randint(1, 16), rng.uniform(0.2, 0.6)) for _ in range(20)
+        ]
+        graphs += [path_graph(12), random_tree(rng, 15)]
+        for g in graphs:
+            h = nx.Graph(g.edges())
+            h.add_nodes_from(range(g.n))
+            for k in {1, 2, rng.randint(1, g.n + 1), g.n + 1}:
+                masks = _ball_masks(g, k)
+                assert len(masks) == k
+                for r in range(k):
+                    for v in range(g.n):
+                        near = nx.single_source_shortest_path_length(h, v, cutoff=r)
+                        assert masks[r][v] == sum(1 << u for u in near), (g.edges(), k, r, v)
 
 
 class TestBruteforce:
@@ -41,6 +68,20 @@ class TestBruteforce:
     def test_lexicographically_smallest_witness(self):
         result = burning_number_bruteforce(path_graph(2))
         assert result.witness.sources == (0, 1)
+
+    def test_first_verifying_tuple_by_enumeration(self):
+        # verify() is independent of the ball masks the oracle tests tuples on
+        rng = random.Random(67)
+        for _ in range(30):
+            n = rng.randint(1, 6)
+            g = random_graph(rng, n, rng.random())
+            result = burning_number_bruteforce(g)
+            assert result.k == 1 or not all_optimal_sequences(g, result.k - 1)
+            optima = all_optimal_sequences(g, result.k)
+            assert result.witness.sources == min(optima), g.edges()
+            before = sum(math.perm(n, t) for t in range(1, result.k))
+            order = list(itertools.permutations(range(n), result.k))
+            assert result.nodes_explored == before + order.index(min(optima)) + 1
 
     def test_cap_refusal_names_the_cap(self):
         with pytest.raises(VertexCapError, match="cap of 9"):

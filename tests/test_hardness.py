@@ -352,10 +352,10 @@ class TestDkGadget:
         assert orders == [27, 5, 3, 1]
 
     def test_desk_scale_lower_bound_by_exhaustive_search(self):
-        from burnkit.exact import _Search, _distance_matrix
+        from burnkit.exact import _Search
 
         inst = validate_d3p(DESK_X)
         _, cert = gen_dk_gadget(inst, 14, [(4, 5, 6)])
-        search = _Search(cert.graph, _distance_matrix(cert.graph), 6, None)
+        search = _Search(cert.graph, 6, None)
         assert search.run((), 0) is None  # six rounds can never finish
 

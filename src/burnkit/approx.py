@@ -1,15 +1,32 @@
 """Three-approximation burner for arbitrary graphs.
 
-Each round appends the unburned vertex that maximizes its worst
-distance-to-deadline ratio against the sources already placed; the loop
-stops as soon as the coverage balls reach every vertex.  Sequence length k
-certifies that the optimum is at least ceil((k-1)/3) + 1.  A ratio
-d / (k - j + 1) is the integer pair (d, k - j + 1), compared by
-cross-multiplication; (1, 0) is the infinite ratio of an unreachable vertex.
+Round k appends the unburned vertex v that maximizes its least ratio
+d_j(v) / (k - j + 1) over the sources j already placed; the loop stops as
+soon as the coverage balls reach every vertex.  Sequence length k certifies
+that the optimum is at least ceil((k-1)/3) + 1.  A ratio is the integer pair
+(d, k - j + 1), compared by cross-multiplication; (1, 0) is the infinite
+ratio of a vertex no source reaches.  Ties go to the smallest vertex.
+
+One incremental frontier, ``_Frontier``, carries the rounds.  It rests on
+three exact facts about the ratio d_j(v) / (k - j + 1):
+
+1. A burned vertex stays burned.  With the deadline
+   ``reach[v] = min_j (d_j(v) + j)``, v is burned at round k iff
+   ``reach[v] <= k - 1``; it then leaves the live list for good.
+2. A later source whose d is at least the smallest earlier d never gives the
+   minimum, because its denominator is smaller.  So v keeps only its records:
+   (d, j) pairs with strictly falling d.
+3. Take two records a < b, so d_a > d_b.  Once b's ratio is at or below a's,
+   it stays there for every later round.  So each round drops the records
+   before the current argmin.
+
+A new source costs one BFS and one pass over the live list; a round costs
+O(live + their records).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .errors import RejectedInputError
@@ -25,27 +42,60 @@ class ApproxResult:
     """Per failed prefix: (length, uncovered count, certified lower bound)."""
 
 
-def _pick(rows: list[list[int]], k: int) -> tuple[int | None, int]:
-    """Round k's source (None if nothing is left) and the unburned count, in one pass.
+class _Frontier:
+    """The live vertices of a growing prefix, with their deadlines and records.
 
-    ``rows[j-1]`` is source j's BFS row; it burns v when d(v) <= k - 1 - j.
-    An unburned vertex scores its least ratio (d, k - j + 1), or (1, 0) if no
-    source reaches it; the highest score wins, ties to the smallest vertex.
+    ``records[v]`` lists (d, j) for source j at distance d, d strictly falling;
+    a vertex no source reaches has no records and a deadline past every round.
     """
-    best, best_num, best_den, unburned = None, -1, 1, 0
-    for v in range(len(rows[0])):
-        num, den = 1, 0
-        for j, row in enumerate(rows, start=1):
+
+    def __init__(self, adjacency):
+        self.adjacency = adjacency
+        self.placed = 0
+        self.live = list(range(len(adjacency)))
+        self.reach = [sys.maxsize] * len(adjacency)
+        self.records: list[list[tuple[int, int]]] = [[] for _ in adjacency]
+
+    def add(self, source: int) -> None:
+        """Place the next source: fold its BFS row into every live vertex."""
+        self.placed += 1
+        j = self.placed
+        row = _bfs(self.adjacency, source)
+        reach, records = self.reach, self.records
+        for v in self.live:
             d = row[v]
-            if UNREACHED < d < k - j:
-                break
-            if d != UNREACHED and d * den < num * (k - j + 1):
-                num, den = d, k - j + 1
-        else:
-            unburned += 1
+            if d != UNREACHED:
+                if d + j < reach[v]:
+                    reach[v] = d + j
+                own = records[v]
+                if not own or d < own[-1][0]:
+                    own.append((d, j))
+
+    def pick(self) -> tuple[int | None, int]:
+        """Round k's source (None if nothing is left) and the unburned count,
+        for k one past the sources placed."""
+        k = self.placed + 1
+        reach, records = self.reach, self.records
+        self.live = live = [v for v in self.live if reach[v] >= k]
+        best, best_num, best_den = None, -1, 1
+        for v in live:
+            own = records[v]
+            if not own:
+                num, den = 1, 0
+            else:
+                num, j = own[0]
+                den = k - j + 1
+                if len(own) > 1:
+                    argmin = 0
+                    for i in range(1, len(own)):
+                        d, j = own[i]
+                        if d * den <= num * (k - j + 1):
+                            argmin, num, den = i, d, k - j + 1
+                    if argmin:
+                        del own[:argmin]
             if num * best_den > best_num * den:
                 best, best_num, best_den = v, num, den
-    return best, unburned
+        return best, len(live)
 
 
 def next_fire_source(G: Graph, k: int, S) -> list[int]:
@@ -63,7 +113,10 @@ def next_fire_source(G: Graph, k: int, S) -> list[int]:
     for x in prefix:
         if not 0 <= x < G.n:
             raise RejectedInputError(f"prefix vertex {x} out of range")
-    vertex, unburned = _pick([_bfs(G.adjacency, x) for x in prefix], k)
+    frontier = _Frontier(G.adjacency)
+    for x in prefix:
+        frontier.add(x)
+    vertex, unburned = frontier.pick()
     if not unburned:
         raise RejectedInputError("every vertex is already burned; nothing to place")
     return prefix + [vertex]
@@ -74,23 +127,29 @@ def burn_3approx(G: Graph, x1: int | None = None) -> ApproxResult:
 
     The result always verifies; its length is at most three times the
     burning number, and ``implied_lower`` is a sound lower bound derived
-    from the final failing prefix.  Each source's BFS row is kept across rounds.
+    from the final failing prefix.  Each source costs one BFS.  Rounds scan
+    only the live (unburned) vertices: a vertex leaves once its deadline
+    min_j (d_j + j) falls below k, keeps only the (d, j) records with
+    strictly falling d, and drops the records before its current argmin,
+    which never regain the minimum.  A round is O(live + their records).
     """
     if G.n == 0:
         raise RejectedInputError("cannot burn the empty graph")
     start = 0 if x1 is None else x1
     if not 0 <= start < G.n:
         raise RejectedInputError(f"start vertex {start} out of range")
-    sequence, rows = [start], [_bfs(G.adjacency, start)]
+    sequence = [start]
+    frontier = _Frontier(G.adjacency)
+    frontier.add(start)
     trace: list[tuple[int, int, int]] = []
     while True:
-        length = len(sequence)
-        vertex, unburned = _pick(rows, length + 1)
+        vertex, unburned = frontier.pick()
         if not unburned:
             break
+        length = len(sequence)
         trace.append((length, unburned, -(-length // 3) + 1))
         sequence.append(vertex)
-        rows.append(_bfs(G.adjacency, vertex))
+        frontier.add(vertex)
     k = len(sequence)
     implied_lower = max(-(-k // 3), trace[-1][2] if trace else 1)
     return ApproxResult(tuple(sequence), k, implied_lower, tuple(trace))

@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 import random
 
+from hypothesis import strategies as st
+
 from burnkit import Graph, SplitPartition, from_edge_list, verify
 from burnkit.graph import _bfs
 
@@ -37,6 +39,15 @@ def petersen_graph() -> Graph:
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return from_edge_list(10, outer + spokes + inner)
+
+
+small_edge_lists = st.integers(1, 12).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])),
+    )
+)
+"""(n, edges) of a simple graph on 1..12 vertices, any edge set."""
 
 
 def eccentricities(G: Graph) -> list[int]:

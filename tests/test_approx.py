@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from burnkit import (
     RejectedInputError,
@@ -14,8 +15,16 @@ from burnkit import (
     next_fire_source,
     verify,
 )
+from burnkit.hardness import gen_dk_gadget, gen_ig_gadget, gen_pg_gadget, gen_spider, validate_d3p
 
-from helpers import complete_graph, path_graph, random_connected_graph, random_graph, random_tree
+from helpers import (
+    complete_graph,
+    path_graph,
+    random_connected_graph,
+    random_graph,
+    random_tree,
+    small_edge_lists,
+)
 
 
 def _reference_next(G, k, prefix):
@@ -62,6 +71,36 @@ def _reference_corpus(rng):
         yield from_edge_list(
             a.n + b.n, a.edges() + [(u + a.n, v + a.n) for u, v in b.edges()]
         )
+
+
+def _forest(rng, sizes):
+    """Random trees of the given sizes on shuffled labels, one component each."""
+    labels = list(range(sum(sizes)))
+    rng.shuffle(labels)
+    edges, offset = [], 0
+    for size in sizes:
+        edges += [(labels[u + offset], labels[v + offset]) for u, v in random_tree(rng, size).edges()]
+        offset += size
+    return from_edge_list(len(labels), edges)
+
+
+def _named_inputs():
+    inst = validate_d3p([4, 5, 6])
+    rng = random.Random(99)
+    return {
+        "ig-gadget": gen_ig_gadget(inst).graph,
+        "pg-gadget": gen_pg_gadget(inst)[1].graph,
+        "dk-gadget": gen_dk_gadget(inst, 14)[1].graph,
+        "path-200": path_graph(200),
+        "SP(7,7)": gen_spider(7, 7),
+        **{
+            f"forest-{i}": _forest(rng, [rng.randint(1, 12) for _ in range(rng.randint(3, 6))])
+            for i in range(8)
+        },
+    }
+
+
+NAMED = _named_inputs()
 
 
 class TestNextFireSource:
@@ -114,6 +153,31 @@ class TestAgainstReference:
                             next_fire_source(g, length + 1, prefix)
                     else:
                         assert next_fire_source(g, length + 1, prefix) == expected
+
+    @pytest.mark.parametrize("name", NAMED)
+    def test_named_inputs_match_reference(self, name):
+        g = NAMED[name]
+        for x1 in sorted({0, g.n // 2, g.n - 1}):
+            result = burn_3approx(g, x1=x1)
+            assert (result.sequence, result.implied_lower, result.trace) == _reference_approx(g, x1)
+        sequence = list(result.sequence)
+        for length in range(1, len(sequence)):
+            expected = _reference_next(g, length + 1, sequence[:length])
+            assert next_fire_source(g, length + 1, sequence[:length]) == expected
+
+    def test_long_path_matches_reference(self):
+        g = path_graph(1000)
+        result = burn_3approx(g)
+        assert (result.sequence, result.implied_lower, result.trace) == _reference_approx(g, 0)
+
+    @given(small_edge_lists)
+    @settings(max_examples=100, deadline=None)
+    def test_small_graphs_match_reference_from_every_start(self, case):
+        n, edges = case
+        g = from_edge_list(n, edges)
+        for x1 in range(n):
+            result = burn_3approx(g, x1=x1)
+            assert (result.sequence, result.implied_lower, result.trace) == _reference_approx(g, x1)
 
 
 class TestBurnThreeApprox:

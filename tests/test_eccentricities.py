@@ -3,7 +3,8 @@
 The all-BFS ``helpers.eccentricities`` and networkx are the oracles.  The
 work contract counts ``_bfs`` calls and ``_ball`` vertices: on paths, grids
 and interval gadgets the bounds close after a constant number of BFS runs,
-whatever n, and exact search spends no n² work before its node budget.
+whatever n, exact search spends no n² work before its node budget, and
+approx3 runs one BFS per source.
 """
 
 import io
@@ -13,15 +14,16 @@ from contextlib import redirect_stdout
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from burnkit import (
     DisconnectedGraphError,
     NodeBudgetError,
+    burn_3approx,
     burning_number_exact,
     components,
     diameter_path,
     from_edge_list,
+    next_fire_source,
     upper_bound_radius,
 )
 from burnkit import cli, exact, graph
@@ -40,6 +42,7 @@ from helpers import (
     random_connected_graph,
     random_graph,
     random_tree,
+    small_edge_lists,
 )
 
 DIAMETER_RUNS = 8
@@ -137,14 +140,7 @@ def test_matches_networkx(family):
             assert path[0] == min(v for v in range(g.n) if ecc[v] == diameter)
 
 
-@given(
-    st.integers(1, 12).flatmap(
-        lambda n: st.tuples(
-            st.just(n),
-            st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])),
-        )
-    )
-)
+@given(small_edge_lists)
 @settings(max_examples=150, deadline=None)
 def test_small_graphs_match_oracle(case):
     n, edges = case
@@ -219,6 +215,15 @@ def test_diameter_path_computes_no_source_row_twice(family, bfs_runs):
     for g in SCALED[family]:
         bfs_runs(diameter_path, g)
         assert len(set(bfs_runs.sources)) == len(bfs_runs.sources), (g.n, bfs_runs.sources)
+
+
+@pytest.mark.parametrize("g", SCALED["path"] + SCALED["ig-gadget"][:1], ids=lambda g: str(g.n))
+def test_approx3_makes_one_bfs_per_source(g, bfs_runs):
+    results = []
+    assert bfs_runs(lambda g: results.append(burn_3approx(g)), g) == results[0].k
+    assert bfs_runs.sources == list(results[0].sequence)
+    prefix = list(results[0].sequence[:-1])
+    assert bfs_runs(lambda g: next_fire_source(g, len(prefix) + 1, prefix), g) == len(prefix)
 
 
 def _exact_at_budget_zero(g):

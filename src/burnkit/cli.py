@@ -38,7 +38,6 @@ from .errors import (
 from .graph import (
     Graph,
     _path_order,
-    components,
     disk_graph,
     from_edge_list,
     interval_graph,
@@ -181,7 +180,6 @@ def cmd_burn(args) -> int:
     sequence, extras = _BURN_ENGINES[args.engine](args, G)
     elapsed = time.perf_counter() - started
     outcome = simulate(G, sequence)
-    comps = components(G)
     record = {
         "command": "burn",
         "engine": args.engine,
@@ -194,8 +192,8 @@ def cmd_burn(args) -> int:
         "valid": outcome.valid and outcome.complete,
         "complete": outcome.complete,
         "bounds": {
-            "lower": exact._lower_bound(G, comps),
-            "upper": exact._upper_bound_radius(G, comps),
+            "lower": exact.lower_bound(G),
+            "upper": exact.upper_bound_radius(G),
         },
     }
     record.update(extras)
@@ -384,34 +382,24 @@ def cmd_percolate(args) -> int:
 # -- bench -----------------------------------------------------------------------
 
 
-# kind -> (graph of n vertices, its family burner on the order 0..n-1)
-_BENCH_KINDS: dict[str, tuple[Callable, Callable]] = {
-    "path": (_path_graph, lambda order: families.burn_path(order)),
-    "cycle": (_cycle_graph, lambda order: families.burn_cycle(order)),
-}
+# kind -> graph of n vertices
+_BENCH_KINDS: dict[str, Callable[[int], Graph]] = {"path": _path_graph, "cycle": _cycle_graph}
 
 
 def cmd_bench(args) -> int:
+    """Run burn engines over the kind's graphs; the ``path`` engine is the kind's own burner."""
     sizes = _int_list(args.sizes)
     engines = [token for token in args.engines.split(",") if token]
-    build, burn_linear = _BENCH_KINDS[args.kind]
     results = []
     for size in sizes:
-        G = build(size)
-        linear = list(range(size))
+        G = _BENCH_KINDS[args.kind](size)
         for engine in engines:
             started = time.perf_counter()
-            if engine == "exact":
-                result = exact.burning_number_exact(G)
-                entry = {"k": result.k, "nodes_explored": result.nodes_explored}
-            elif engine == "approx3":
-                result = approx.burn_3approx(G)
-                entry = {"k": result.k, "implied_lower": result.implied_lower}
-            elif engine == "path":
-                entry = {"k": len(burn_linear(linear))}
-            else:
+            run = _BURN_ENGINES.get(args.kind if engine == "path" else engine)
+            if run is None:
                 raise ParseError(f"unknown bench engine {engine!r}")
-            entry.update({"size": size, "engine": engine})
+            sequence, extras = run(args, G)
+            entry = {"k": len(sequence), **extras, "size": size, "engine": engine}
             if args.timings:
                 entry["seconds"] = time.perf_counter() - started
             results.append(entry)
@@ -492,7 +480,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--engines", default="path,approx3")
     bench.add_argument("--timings", action="store_true")
     common(bench, with_format=False)
-    bench.set_defaults(func=cmd_bench)
+    # what the burn engines read from options that bench does not offer
+    bench.set_defaults(
+        func=cmd_bench, x1=None, trace=False, clique=None, workers=1, node_budget=None, vertex_cap=9
+    )
 
     return parser
 

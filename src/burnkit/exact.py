@@ -40,23 +40,13 @@ def _ball_masks(G: Graph, k: int) -> list[list[int]]:
     return masks
 
 
-def _is_path_forest(G: Graph, comps: list[frozenset[int]]) -> bool:
-    if any(len(neighbors) > 2 for neighbors in G.adjacency):
-        return False
-    # acyclic with max degree 2 <=> every component has |E| = |V| - 1
-    return G.edge_count == G.n - len(comps)
-
-
 def lower_bound(G: Graph) -> int:
     """Max of the component count, the square-root law for path forests, and
     the square-root of each tree component's diameter-path order."""
-    return _lower_bound(G, components(G))
-
-
-def _lower_bound(G: Graph, comps: list[frozenset[int]]) -> int:
-    """``lower_bound`` given ``components(G)``."""
+    comps = components(G)
     bound = len(comps)
-    if _is_path_forest(G, comps):
+    # a path forest: max degree 2 and acyclic, so every component has |E| = |V| - 1
+    if all(len(neighbors) <= 2 for neighbors in G.adjacency) and G.edge_count == G.n - len(comps):
         bound = max(bound, _ceil_sqrt(G.n))
     for comp in comps:
         members = sorted(comp)
@@ -82,11 +72,7 @@ def upper_bound_radius(G: Graph) -> int:
     the bounds do not close, and after a few runs the fallback finishes with
     one plain BFS per undecided vertex.
     """
-    return _upper_bound_radius(G, components(G))
-
-
-def _upper_bound_radius(G: Graph, comps: list[frozenset[int]]) -> int:
-    """``upper_bound_radius`` given ``components(G)``."""
+    comps = components(G)
     radii = (_EccentricityBounds(G.adjacency, sorted(comp)).radius() for comp in comps)
     return max(radii, default=0) + len(comps)
 

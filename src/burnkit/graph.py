@@ -9,6 +9,7 @@ as overlapping.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -26,7 +27,8 @@ class Graph:
 
     Construction validates the representation: no self-loops, no parallel
     edges, symmetric adjacency, every endpoint below ``n``.  Instances are
-    immutable and safe to share across threads.
+    immutable and safe to share across threads; the components are walked
+    once, when first asked for, and kept.
     """
 
     n: int
@@ -40,7 +42,7 @@ class Graph:
             raise RejectedInputError("vertex count must be nonnegative")
         if len(self.adjacency) != self.n:
             raise RejectedInputError("adjacency list length must equal vertex count")
-        arcs = set()
+        transposed: list[list[int]] = [[] for _ in range(self.n)]
         for v, neighbors in enumerate(self.adjacency):
             previous = -1
             for u in neighbors:
@@ -53,10 +55,31 @@ class Graph:
                         f"adjacency of vertex {v} must be strictly increasing"
                     )
                 previous = u
-                arcs.add((v, u))
-        for v, u in arcs:
-            if (u, v) not in arcs:
-                raise RejectedInputError(f"edge ({v}, {u}) lacks its mirror arc")
+                transposed[u].append(v)  # in increasing v, like a valid row
+        # symmetric iff every row equals its transposed row
+        if self.adjacency != tuple(map(tuple, transposed)):
+            v, u = next(
+                (v, u) for v, row in enumerate(self.adjacency) for u in row
+                if v not in self.adjacency[u]
+            )
+            raise RejectedInputError(f"edge ({v}, {u}) lacks its mirror arc")
+
+    @functools.cached_property
+    def _components(self) -> tuple[frozenset[int], ...]:
+        """Connected components, ordered by their smallest vertex: one walk per graph."""
+        seen = [False] * self.n
+        out = []
+        for start in range(self.n):
+            if not seen[start]:
+                seen[start] = True
+                reached = [start]
+                for v in reached:  # the list grows as the search reaches vertices
+                    for u in self.adjacency[v]:
+                        if not seen[u]:
+                            seen[u] = True
+                            reached.append(u)
+                out.append(frozenset(reached))
+        return tuple(out)
 
     @property
     def edge_count(self) -> int:
@@ -76,8 +99,6 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise RejectedInputError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
-        if u == v:
-            raise RejectedInputError(f"self-loop at vertex {u}")
         neighbor_sets[u].add(v)
         neighbor_sets[v].add(u)
     return Graph(n, tuple(tuple(sorted(s)) for s in neighbor_sets))
@@ -232,20 +253,11 @@ def neighborhood(G: Graph, X: Iterable[int], i: int) -> set[int]:
 
 
 def components(G: Graph) -> list[frozenset[int]]:
-    """Connected components, ordered by their smallest vertex."""
-    seen = [False] * G.n
-    out: list[frozenset[int]] = []
-    for start in range(G.n):
-        if not seen[start]:
-            seen[start] = True
-            reached = [start]
-            for v in reached:  # the list grows as the search reaches vertices
-                for u in G.adjacency[v]:
-                    if not seen[u]:
-                        seen[u] = True
-                        reached.append(u)
-            out.append(frozenset(reached))
-    return out
+    """Connected components, ordered by their smallest vertex.
+
+    The graph walks them once, on the first call; each call returns a new list.
+    """
+    return list(G._components)
 
 
 def diameter_path(G: Graph) -> list[int]:

@@ -477,3 +477,25 @@ class TestBench:
             seconds = entry.pop("seconds")
             assert isinstance(seconds, float) and seconds >= 0
         assert timed == plain
+
+    def test_exact_honours_the_node_budget_environment(self, monkeypatch, capsys):
+        args = ("bench", "--sizes", "9", "--engines", "exact")
+        monkeypatch.setenv("BURNKIT_NODE_BUDGET", "1")
+        code, _ = run_cli(*args)
+        assert code == 4 and "budget" in capsys.readouterr().err
+        monkeypatch.delenv("BURNKIT_NODE_BUDGET")
+        assert run_cli(*args)[0] == 0
+
+    def test_path_engine_is_the_kinds_own_burner(self):
+        for kind in ("path", "cycle"):
+            _, out = run_cli("bench", "--kind", kind, "--sizes", "10", "--engines", "path," + kind)
+            own, named = json.loads(out)["results"]
+            assert own["k"] == named["k"] == 4
+
+    def test_unknown_engine_is_a_parse_error(self, capsys):
+        code, _ = run_cli("bench", "--sizes", "9", "--engines", "path,fastest")
+        assert code == 3 and "unknown bench engine 'fastest'" in capsys.readouterr().err
+
+    def test_degenerate_size_fails_as_burn_does(self, capsys):
+        assert run_cli("bench", "--kind", "cycle", "--sizes", "2", "--engines", "path")[0] == 5
+        assert "graph is not a cycle" in capsys.readouterr().err

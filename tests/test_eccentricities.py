@@ -4,13 +4,15 @@ The all-BFS ``helpers.eccentricities`` and networkx are the oracles.  The
 work contract counts ``_bfs`` calls and ``_ball`` vertices: on paths, grids
 and interval gadgets the bounds close after a constant number of BFS runs,
 whatever n, exact search spends no n² work before its node budget, and
-approx3 runs one BFS per source.
+approx3 runs one BFS per source.  Every ``burn`` walks its components once
+and computes its bounds through ``exact``'s public names.
 """
 
+import functools
 import io
 import random
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
@@ -270,19 +272,52 @@ BURN_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("engine", BURN_INPUTS)
-def test_burn_computes_components_once(engine, tmp_path, monkeypatch):
-    calls = []
+BURN_RUNS = [pytest.param(engine, [], 0, id=engine) for engine in BURN_INPUTS] + [
+    pytest.param("exact", ["--node-budget", "0"], 4, id="exact-exhausted")
+]
 
-    def counting(g):
-        calls.append(g.n)
-        return components(g)
 
-    monkeypatch.setattr(cli, "components", counting)
-    monkeypatch.setattr(exact, "components", counting)
+def _burn(engine, options, tmp_path) -> int:
     target = tmp_path / "input.edges"
     target.write_text(format_edge_list(BURN_INPUTS[engine]))
-    with redirect_stdout(io.StringIO()):
-        assert cli.main(["burn", "--engine", engine, str(target)]) == 0
-    # the exact engine makes one more call, for its own starting depth
-    assert len(calls) == (2 if engine == "exact" else 1)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return cli.main(["burn", "--engine", engine, *options, str(target)])
+
+
+@pytest.mark.parametrize("engine, options, code", BURN_RUNS)
+def test_burn_computes_components_once(engine, options, code, tmp_path, monkeypatch):
+    # count the walk itself, wherever it is asked for
+    walks = []
+    walk = graph.Graph._components.func
+
+    def counting(g):
+        walks.append(g.n)
+        return walk(g)
+
+    cached = functools.cached_property(counting)
+    cached.__set_name__(graph.Graph, "_components")
+    monkeypatch.setattr(graph.Graph, "_components", cached)
+    assert _burn(engine, options, tmp_path) == code
+    assert walks == [BURN_INPUTS[engine].n]
+
+
+@pytest.mark.parametrize("engine, options, code", BURN_RUNS)
+def test_burn_takes_its_bounds_by_their_public_names(engine, options, code, tmp_path, monkeypatch):
+    # a tracer that rebinds exact's public functions sees every bound computed
+    calls = []
+
+    def counted(bound):
+        def wrapper(g):
+            calls.append(bound.__name__)
+            return bound(g)
+
+        return wrapper
+
+    for name in ("lower_bound", "upper_bound_radius"):
+        monkeypatch.setattr(exact, name, counted(getattr(exact, name)))
+    assert _burn(engine, options, tmp_path) == code
+    # exact search also starts at the lower bound, and when exhausted it
+    # reports the upper bound in place of burn's own report
+    own = ["lower_bound"] if engine == "exact" else []
+    reported = ["upper_bound_radius"] if code == 4 else ["lower_bound", "upper_bound_radius"]
+    assert calls == own + reported

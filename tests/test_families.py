@@ -110,6 +110,21 @@ class TestBurnCycle:
             assert verify(cycle_graph(n), schedule)
 
 
+def _has_split_partition(g) -> bool:
+    """Brute force: some vertex set is a clique and its complement independent."""
+    adjacent = [sum(1 << u for u in row) for row in g.adjacency]
+    full = (1 << g.n) - 1
+    for clique in range(1 << g.n):
+        independent = full & ~clique
+        members = [v for v in range(g.n) if clique >> v & 1]
+        others = [v for v in range(g.n) if independent >> v & 1]
+        if all((adjacent[v] | 1 << v) & clique == clique for v in members) and not any(
+            adjacent[v] & independent for v in others
+        ):
+            return True
+    return False
+
+
 class TestSplitRecognizer:
     def test_recognizes_generated_split_graphs(self):
         rng = random.Random(3)
@@ -123,6 +138,15 @@ class TestSplitRecognizer:
         assert split_partition(cycle_graph(4)) is None
         assert split_partition(cycle_graph(5)) is None
         assert split_partition(path_graph(5)) is None
+
+    def test_recognizes_exactly_the_split_graphs_up_to_seven_vertices(self):
+        nx = pytest.importorskip("networkx")
+        for h in nx.graph_atlas_g():
+            g = from_edge_list(h.number_of_nodes(), h.edges())
+            sp = split_partition(g)
+            assert (sp is not None) == _has_split_partition(g), g.edges()
+            if sp is not None:
+                validate_split(g, sp)
 
 
 class TestBurnSplit:

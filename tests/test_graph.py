@@ -12,6 +12,7 @@ from burnkit import (
     PermutationPair,
     RejectedInputError,
     DisconnectedGraphError,
+    Graph,
     bfs_distances,
     components,
     diameter_path,
@@ -67,8 +68,37 @@ class TestFromEdgeList:
             from_edge_list(3, [(0, 3)])
 
     def test_rejects_self_loop(self):
-        with pytest.raises(RejectedInputError):
+        with pytest.raises(RejectedInputError, match="^self-loop at vertex 1$"):
             from_edge_list(3, [(1, 1)])
+
+
+class TestGraphValidation:
+    """A direct ``Graph(n, adjacency)`` call rejects every malformed representation."""
+
+    @pytest.mark.parametrize(
+        "n, adjacency, message",
+        [
+            (-1, (), "vertex count must be nonnegative"),
+            (3, ((1,), (0,)), "adjacency list length must equal vertex count"),
+            (2, ((1,), (0, 2)), "edge endpoint 2 out of range"),
+            (2, ((0, 1), (0,)), "self-loop at vertex 0"),
+            (3, ((2, 1), (0,), (0,)), "adjacency of vertex 0 must be strictly increasing"),
+            (3, ((1, 1), (0,), ()), "adjacency of vertex 0 must be strictly increasing"),
+            (2, ((1,), ()), "edge (0, 1) lacks its mirror arc"),
+            (2, ((), (0,)), "edge (1, 0) lacks its mirror arc"),
+            # the first arc in (v, u) order without its mirror
+            (4, ((), (3,), (0, 1), ()), "edge (1, 3) lacks its mirror arc"),
+        ],
+    )
+    def test_rejects_with_its_message(self, n, adjacency, message):
+        with pytest.raises(RejectedInputError) as excinfo:
+            Graph(n, adjacency)
+        assert str(excinfo.value) == message
+
+    def test_accepts_every_symmetric_row_set(self):
+        for seed in range(20):
+            g = random_graph(random.Random(seed), 12, 0.3)
+            assert Graph(g.n, [list(row) for row in g.adjacency]) == g
 
 
 class TestBfsDistances:
@@ -177,6 +207,12 @@ class TestDiameterPath:
 
 
 class TestComponents:
+    def test_each_call_returns_a_new_list(self):
+        g = from_edge_list(4, [(1, 3), (3, 2)])
+        first = components(g)
+        first.clear()
+        assert components(g) == [frozenset({0}), frozenset({1, 2, 3})]
+
     def test_connected(self):
         assert len(components(fig_example_graph())) == 1
 

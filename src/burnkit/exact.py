@@ -8,7 +8,9 @@ handles larger instances.  Both return a verified witness sequence.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .burning import BurnSchedule, simulate
 from .errors import NodeBudgetError, RejectedInputError, VertexCapError
@@ -128,6 +130,12 @@ class _Search:
     d(u, x_t) > k - t - 1 >= d - t - 1, so the best gain is >= 1.  The one prune
     is capacity: the uncovered count exceeds the remaining balls' sizes, first
     uncapped, then capped by the best gain (balls shrink, legality tightens).
+    A node checks them in that order.  The reachable sum is one table lookup.
+    The capped sum needs the best gain only to compare it with the least
+    gain that could still cover the uncovered vertices, so a threshold scan
+    decides it: the legal vertices in falling ball size, until one reaches
+    that gain, or the ball sizes, which bound every gain, drop below it.
+    Only a node that passes both checks ranks its candidates.
     """
 
     def __init__(self, G: Graph, k: int, budget: int | None):
@@ -137,18 +145,42 @@ class _Search:
         self.nodes = 0
         self.full = (1 << G.n) - 1
         self.balls = _ball_masks(G, k)
-        self.max_ball = [max(ball.bit_count() for ball in table) for table in self.balls]
+        self.sizes = [[ball.bit_count() for ball in table] for table in self.balls]
+        self.max_ball = [max(row) for row in self.sizes]
         # reachable[j] bounds how much j balls of radii 0..j-1 can ever cover
         self.reachable = [0, *itertools.accumulate(self.max_ball)]
+        # capacity[r][g] = Σ_{r' <= r} min(g, max_ball[r']) for g <= max_ball[r]:
+        # what balls of radii 0..r cover when no gain exceeds g.  A ball grows
+        # with its radius, so max_ball rises and min(g, max_ball[r]) is g.
+        self.capacity = []
+        below = [0]
+        for top in self.max_ball:
+            below = [below[min(g, len(below) - 1)] + g for g in range(top + 1)]
+            self.capacity.append(below)
+        self.by_size: list[list[tuple[int, int, int]] | None] = [None] * k
 
-    def _candidates(self, chosen: tuple[int, ...], covered: int) -> list[tuple[int, int]]:
-        """The legal next sources as ``(-gain, v)``, best first."""
+    def _largest_first(self, radius: int) -> list[tuple[int, int, int]]:
+        """``(|ball|, v, ball)`` of every radius-``radius`` ball, largest first,
+        sorted on first use: a search that stops early sorts few radii."""
+        order = self.by_size[radius]
+        if order is None:
+            entries = zip(self.sizes[radius], range(self.n), self.balls[radius])
+            order = self.by_size[radius] = sorted(entries, key=itemgetter(0), reverse=True)
+        return order
+
+    def _burned(self, chosen: tuple[int, ...]) -> int:
+        """The vertices no source at depth ``len(chosen)`` may take."""
         depth = len(chosen)
         burned = 0
         for t, x in enumerate(chosen):
             burned |= self.balls[depth - t - 1][x]
+        return burned
+
+    def _candidates(self, chosen: tuple[int, ...], covered: int) -> list[tuple[int, int]]:
+        """The legal next sources as ``(-gain, v)``, best first."""
+        burned = self._burned(chosen)
         uncovered = self.full & ~covered
-        balls = self.balls[self.k - depth - 1]
+        balls = self.balls[self.k - len(chosen) - 1]
         return sorted(
             (-(balls[v] & uncovered).bit_count(), v)
             for v in range(self.n)
@@ -165,15 +197,23 @@ class _Search:
         depth = len(chosen)
         if depth == self.k:
             return chosen if covered == self.full else None
-        uncovered_count = (self.full & ~covered).bit_count()
+        uncovered = self.full & ~covered
+        uncovered_count = uncovered.bit_count()
         radius = self.k - depth - 1
         if uncovered_count > self.reachable[radius + 1]:
             return None
-        ranked = self._candidates(chosen, covered)
         if uncovered_count:
-            best_gain = -ranked[0][0]
-            if uncovered_count > sum(min(best_gain, m) for m in self.max_ball[: radius + 1]):
+            # the least best gain whose capped capacity still covers them all
+            need = bisect_left(self.capacity[radius], uncovered_count)
+            burned = self._burned(chosen)
+            for size, v, ball in self._largest_first(radius):
+                if size < need:
+                    return None
+                if not burned >> v & 1 and (ball & uncovered).bit_count() >= need:
+                    break
+            else:
                 return None
+        ranked = self._candidates(chosen, covered)
         balls = self.balls[radius]
         for _, v in ranked:
             if self.nodes == self.budget:  # never true for a budget of None
@@ -198,11 +238,17 @@ def burning_number_exact(
     builds one search holding the radius-r ball masks for r < k, which cost
     Σ|ball| over one sparse radius-(k - 1) ball per vertex, not n²; a vertex
     is a legal next source when it lies outside ball(x_t, depth - t - 1) for
-    every earlier source x_t.  One node budget covers every depth, so
-    ``nodes_explored`` never exceeds it: a search that needs more raises
-    NodeBudgetError.  A negative budget is rejected.  ``workers`` must be at
-    least 1 and is otherwise ignored: the search is pure Python, so threads
-    cannot speed it up, and the result and node count never depended on it.
+    every earlier source x_t.  A node checks the capacity prune before it
+    ranks anything: first the reachable sum (the uncovered count against the
+    remaining balls' largest sizes), then a threshold scan of the legal
+    vertices by falling ball size for one whose gain is at least the least
+    best gain that can still cover the uncovered vertices.  Only a node that
+    survives both sorts its candidates by gain.  One node budget covers every
+    depth, so ``nodes_explored`` never exceeds it: a search that needs more
+    raises NodeBudgetError.  A negative budget is rejected.  ``workers`` must
+    be at least 1 and is otherwise ignored: the search is pure Python, so
+    threads cannot speed it up, and the result and node count never depended
+    on it.
     """
     if G.n == 0:
         raise RejectedInputError("burning number undefined for the empty graph")

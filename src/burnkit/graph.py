@@ -160,12 +160,13 @@ class _EccentricityBounds:
         self.upper = [2 * len(adjacency)] * len(members)  # above any e + d
         self.runs = 0
         self.decided = 0
+        self.previous: list[int] = []  # the row of the bounding run before the latest
         self.latest: list[int] = []  # the row of the latest bounding run
 
     def tighten(self, dist: list[int]) -> None:
         """Apply one BFS row whose source is a member."""
         self.runs += 1
-        self.latest = dist
+        self.previous, self.latest = self.latest, dist
         e = max(dist)
         lower, upper = self.lower, self.upper
         for i, u in enumerate(self.members):
@@ -271,8 +272,8 @@ def diameter_path(G: Graph) -> list[int]:
     vertex whose upper bound reaches D, once its lower bound does too.  On a
     vertex-transitive graph the bounds do not close, and after a few runs the
     fallback finishes with one plain BFS per undecided vertex.  Extra memory
-    is O(n): only the first and the latest bounding rows are kept, and the
-    source and target rows are taken from them when they match.
+    is O(n): only the first, the previous and the latest bounding rows are
+    kept, and the source and target rows are taken from them when they match.
 
     Raises DisconnectedGraphError when the diameter is undefined.
     """
@@ -292,7 +293,8 @@ def diameter_path(G: Graph) -> list[int]:
         if ecc.lower[source] == best:
             break
         ecc.probe(source)
-    rows = {0: first, ecc.latest.index(0): ecc.latest}  # keyed by the one vertex at distance 0
+    # keyed by the one vertex at distance 0
+    rows = {row.index(0): row for row in (first, ecc.previous, ecc.latest) if row}
     target = (rows.get(source) or _bfs(G.adjacency, source)).index(best)
     # Greedy minimal-neighbor descent on distances-to-target yields the
     # lexicographically smallest shortest path.

@@ -7,7 +7,16 @@ import random
 
 from hypothesis import strategies as st
 
-from burnkit import Graph, SplitPartition, from_edge_list, verify
+from burnkit import (
+    Graph,
+    NodeBudgetError,
+    SplitPartition,
+    from_edge_list,
+    lower_bound,
+    upper_bound_radius,
+    verify,
+)
+from burnkit.exact import _ball_masks
 from burnkit.graph import _bfs
 
 
@@ -150,3 +159,75 @@ def random_interval_pairs(rng: random.Random, n: int) -> list[tuple[int, int]]:
 def all_optimal_sequences(G: Graph, k: int) -> list[tuple[int, ...]]:
     """Every verifying sequence of length k, by exhaustive enumeration."""
     return [S for S in itertools.permutations(range(G.n), k) if verify(G, S)]
+
+
+class _ReferenceOutOfBudget(Exception):
+    """The reference search needed more nodes than its budget."""
+
+
+class _ReferenceSearch:
+    """Exact search's cover search as it ranked every node's candidates: the
+    best gain comes from sorting a ``(-gain, v)`` tuple per legal vertex, and
+    the capped capacity sum is recomputed at every node."""
+
+    def __init__(self, G: Graph, k: int, budget: int | None):
+        self.n = G.n
+        self.k = k
+        self.budget = budget
+        self.nodes = 0
+        self.full = (1 << G.n) - 1
+        self.balls = _ball_masks(G, k)
+        self.max_ball = [max(ball.bit_count() for ball in table) for table in self.balls]
+        self.reachable = [0, *itertools.accumulate(self.max_ball)]
+
+    def candidates(self, chosen: tuple[int, ...], covered: int) -> list[tuple[int, int]]:
+        depth = len(chosen)
+        burned = 0
+        for t, x in enumerate(chosen):
+            burned |= self.balls[depth - t - 1][x]
+        uncovered = self.full & ~covered
+        balls = self.balls[self.k - depth - 1]
+        return sorted(
+            (-(balls[v] & uncovered).bit_count(), v)
+            for v in range(self.n)
+            if not burned >> v & 1
+        )
+
+    def run(self, chosen: tuple[int, ...], covered: int) -> tuple[int, ...] | None:
+        depth = len(chosen)
+        if depth == self.k:
+            return chosen if covered == self.full else None
+        uncovered_count = (self.full & ~covered).bit_count()
+        radius = self.k - depth - 1
+        if uncovered_count > self.reachable[radius + 1]:
+            return None
+        ranked = self.candidates(chosen, covered)
+        if uncovered_count:
+            best_gain = -ranked[0][0]
+            if uncovered_count > sum(min(best_gain, m) for m in self.max_ball[: radius + 1]):
+                return None
+        balls = self.balls[radius]
+        for _, v in ranked:
+            if self.nodes == self.budget:
+                raise _ReferenceOutOfBudget
+            self.nodes += 1
+            result = self.run(chosen + (v,), covered | balls[v])
+            if result is not None:
+                return result
+        return None
+
+
+def reference_exact(G: Graph, node_budget: int | None = None) -> tuple[int, tuple[int, ...], int]:
+    """(k, witness sources, nodes explored) of ``burning_number_exact`` by the
+    ranking search above; raises the same ``NodeBudgetError``."""
+    nodes = 0
+    for k in range(lower_bound(G), G.n + 1):
+        search = _ReferenceSearch(G, k, None if node_budget is None else node_budget - nodes)
+        try:
+            found = search.run((), 0)
+        except _ReferenceOutOfBudget:
+            raise NodeBudgetError(node_budget, k, upper_bound_radius(G)) from None
+        nodes += search.nodes
+        if found is not None:
+            return k, found, nodes
+    raise AssertionError("a burning sequence of length n always exists")

@@ -3,8 +3,9 @@
 The all-BFS ``helpers.eccentricities`` and networkx are the oracles.  The
 work contract counts ``_bfs`` calls and ``_ball`` vertices: on paths, grids
 and interval gadgets the bounds close after a constant number of BFS runs,
-whatever n, exact search spends no n² work before its node budget, and
-approx3 runs one BFS per source.  Every ``burn`` walks its components once
+whatever n, exact search spends no n² work before its node budget and
+ranks candidates only at the few search nodes that pass its capacity prune,
+and approx3 runs one BFS per source.  Every ``burn`` walks its components once
 and computes its bounds through ``exact``'s public names.
 """
 
@@ -212,7 +213,7 @@ def test_constant_bfs_runs_on_paths_grids_and_gadgets(family, bfs_runs):
         assert bfs_runs(upper_bound_radius, g) <= RADIUS_RUNS, g.n
 
 
-@pytest.mark.parametrize("family", ["path", "ig-gadget"])
+@pytest.mark.parametrize("family", ["path", "grid", "ig-gadget"])
 def test_diameter_path_computes_no_source_row_twice(family, bfs_runs):
     for g in SCALED[family]:
         bfs_runs(diameter_path, g)
@@ -241,6 +242,33 @@ def test_exact_search_spends_no_quadratic_work_before_the_budget(bfs_runs):
     assert bfs_runs(_exact_at_budget_zero, path_graph(1000)) <= 4
     # one ball of radius k - 1 ~ sqrt(n) per vertex grows 8x from n to 4n; n² grows 16x
     assert bfs_runs.ball_vertices <= 10 * n_ball
+
+
+SEARCH_BUDGET = 2000
+"""The node budget of the bench's exact jobs."""
+
+
+@pytest.mark.parametrize("legs", [(6, 6), (7, 7)], ids=str)
+def test_exact_search_ranks_only_nodes_that_pass_the_capacity_prune(legs, monkeypatch):
+    # ranking costs a sort over every legal vertex; the prune needs only a
+    # threshold scan, and most nodes die at it
+    ranked_at = []
+    candidates = exact._Search._candidates
+
+    def checked_candidates(search, chosen, covered):
+        ranked = candidates(search, chosen, covered)
+        uncovered = (search.full & ~covered).bit_count()
+        sizes = search.max_ball[: search.k - len(chosen)]
+        best_gain = -ranked[0][0] if ranked else 0
+        assert uncovered <= sum(sizes)
+        assert not uncovered or uncovered <= sum(min(best_gain, size) for size in sizes)
+        ranked_at.append(chosen)
+        return ranked
+
+    monkeypatch.setattr(exact._Search, "_candidates", checked_candidates)
+    with pytest.raises(NodeBudgetError):  # both spiders exhaust the budget
+        burning_number_exact(gen_spider(*legs), node_budget=SEARCH_BUDGET)
+    assert ranked_at and len(ranked_at) <= SEARCH_BUDGET // 10
 
 
 def test_cycles_take_one_bfs_per_vertex_at_most(bfs_runs):

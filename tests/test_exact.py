@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from burnkit import (
     NodeBudgetError,
@@ -27,6 +28,8 @@ from helpers import (
     random_connected_graph,
     random_graph,
     random_tree,
+    reference_exact,
+    small_edge_lists,
 )
 
 
@@ -176,6 +179,60 @@ class TestExactSolver:
             g = random_graph(rng, rng.randint(1, 14), rng.random())
             burning_number_exact(g)
         assert len(set(checked)) > 20
+
+
+REFERENCE_CAP = 3000
+"""Stands in for an unlimited budget where the search needs more nodes."""
+
+
+def _exact_outcome(g, budget):
+    try:
+        result = burning_number_exact(g, node_budget=budget)
+    except NodeBudgetError as error:
+        return str(error)
+    return result.k, result.witness.sources, result.nodes_explored
+
+
+def _reference_outcome(g, budget):
+    try:
+        return reference_exact(g, budget)
+    except NodeBudgetError as error:
+        return str(error)
+
+
+def _assert_matches_reference(g):
+    """Equal (k, witness, nodes) or an equal budget message at budgets 0, 1,
+    N // 2, N and None, where N is the search's own node count; the bounded
+    budgets come first, so a search that prunes a solution fails fast."""
+    full = _reference_outcome(g, REFERENCE_CAP)
+    if isinstance(full, str):
+        budgets = [0, 1, REFERENCE_CAP // 2, REFERENCE_CAP]
+    else:
+        budgets = [0, 1, full[2] // 2, full[2], None]
+    for budget in budgets:
+        assert _exact_outcome(g, budget) == _reference_outcome(g, budget), (g.edges(), budget)
+
+
+class TestMatchesRankingReference:
+    """The threshold scan prunes exactly the nodes that ranking every
+    candidate and reading the best gain pruned, so search order, witnesses,
+    node counts and budget messages stay the same as ``reference_exact``'s."""
+
+    @pytest.mark.parametrize("s", range(1, 8))
+    def test_spiders(self, s):
+        for r in range(9):
+            _assert_matches_reference(gen_spider(s, r))
+
+    def test_grids(self):
+        for rows in range(1, 6):
+            for cols in range(1, 7):
+                _assert_matches_reference(grid_graph(rows, cols))
+
+    @given(small_edge_lists)
+    @settings(max_examples=100, deadline=None)
+    def test_small_graphs(self, case):
+        n, edges = case
+        _assert_matches_reference(from_edge_list(n, edges))
 
 
 class TestLowerBound:

@@ -38,7 +38,6 @@ from .errors import (
 from .graph import (
     Graph,
     _path_order,
-    disk_graph,
     from_edge_list,
     interval_graph,
     permutation_graph,
@@ -67,9 +66,9 @@ def _read(path: str) -> str:
 # so functions rebound on those modules (by a tracer, say) are the ones run.
 _FORMATS: dict[str, Callable[[str], Graph]] = {
     "edges": lambda text: formats.parse_edge_list(text),
-    "intervals": lambda text: interval_graph(formats.parse_intervals(text)),
+    "intervals": lambda text: formats._interval_graph(text),
     "permutation": lambda text: permutation_graph(formats.parse_permutation(text)),
-    "disks": lambda text: disk_graph(formats.parse_disks(text)),
+    "disks": lambda text: formats._disk_graph(text),
 }
 
 

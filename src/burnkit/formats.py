@@ -5,6 +5,10 @@ starts a comment, blank lines are skipped.  Interval, permutation, and disk
 inputs are one record per line: ``start end``, one permutation entry, and
 ``x y r`` respectively, all accepting rationals like ``3/2`` or ``1.5``.
 JSON is emitted canonically (sorted keys) so equal inputs give equal bytes.
+
+Every parser refuses an input of more than ``_VERTEX_CAP`` vertices (the
+edge-list header's n, or the number of records) with a ParseError that
+names the cap, before it builds the graph or its coordinates.
 """
 
 from __future__ import annotations
@@ -13,10 +17,32 @@ import json
 from typing import Iterable
 
 from .burning import BurnOutcome
-from .errors import ParseError
-from .graph import DiskArrangement, Graph, IntervalSet, PermutationPair, from_edge_list
+from .errors import ParseError, RejectedInputError
+from .graph import (
+    DiskArrangement,
+    Graph,
+    IntervalSet,
+    PermutationPair,
+    _disk_edges,
+    _interval_edges,
+    _ratio,
+    disk_graph,
+    from_edge_list,
+    interval_graph,
+)
 from .hardness import GadgetCertificate
 from .processes import FirefightRun, PercolationRun
+
+
+_VERTEX_CAP = 100_000
+"""Most vertices a parsed input may have.  It bounds what an edge-list header
+can make the parser allocate, and sits far above every golden and benchmark
+input (a few thousand vertices at most)."""
+
+
+def _check_vertex_count(n: int) -> None:
+    if n > _VERTEX_CAP:
+        raise ParseError(f"input has {n} vertices, exceeding the vertex cap of {_VERTEX_CAP}")
 
 
 def _content_lines(text: str) -> list[list[str]]:
@@ -36,6 +62,7 @@ def parse_edge_list(text: str) -> Graph:
         n, m = (int(token) for token in rows[0])
     except ValueError as exc:
         raise ParseError(f"bad header line {rows[0]!r}; expected 'n m'") from exc
+    _check_vertex_count(n)
     if len(rows) - 1 != m:
         raise ParseError(f"expected {m} edge lines, found {len(rows) - 1}")
     edges = []
@@ -47,7 +74,7 @@ def parse_edge_list(text: str) -> Graph:
         edges.append((u, v))
     try:
         return from_edge_list(n, edges)
-    except Exception as exc:
+    except RejectedInputError as exc:
         raise ParseError(str(exc)) from exc
 
 
@@ -58,15 +85,39 @@ def format_edge_list(G: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_intervals(text: str) -> IntervalSet:
+def _records(text: str, width: int, shape: str) -> list[list[str]]:
+    """The content lines of a one-record-per-line input, each ``width`` tokens."""
     rows = _content_lines(text)
+    _check_vertex_count(len(rows))
     for row in rows:
-        if len(row) != 2:
-            raise ParseError(f"interval line needs 'start end', got {row!r}")
+        if len(row) != width:
+            raise ParseError(f"{shape}, got {row!r}")
+    return rows
+
+
+def _ratios(rows: list[list[str]]) -> list[tuple[int, int]]:
+    try:
+        return [_ratio(token) for row in rows for token in row]
+    except RejectedInputError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def parse_intervals(text: str) -> IntervalSet:
+    rows = _records(text, 2, "interval line needs 'start end'")
     try:
         return IntervalSet.from_pairs(rows)
-    except Exception as exc:
+    except RejectedInputError as exc:
         raise ParseError(str(exc)) from exc
+
+
+def _interval_graph(text: str) -> Graph:
+    """``interval_graph(parse_intervals(text))``, without building Fractions:
+    the tokens go as ratios straight to the builder's kernel."""
+    rows = _records(text, 2, "interval line needs 'start end'")
+    ratios = _ratios(rows)
+    if not all(sn * ed < en * sd for (sn, sd), (en, ed) in zip(ratios[0::2], ratios[1::2])):
+        return interval_graph(parse_intervals(text))  # raises the parser's error
+    return from_edge_list(len(rows), _interval_edges(ratios))
 
 
 def format_intervals(L: IntervalSet) -> str:
@@ -74,8 +125,10 @@ def format_intervals(L: IntervalSet) -> str:
 
 
 def parse_permutation(text: str) -> PermutationPair:
+    rows = _content_lines(text)
+    _check_vertex_count(sum(map(len, rows)))
     values = []
-    for row in _content_lines(text):
+    for row in rows:
         for token in row:
             try:
                 values.append(int(token))
@@ -83,7 +136,7 @@ def parse_permutation(text: str) -> PermutationPair:
                 raise ParseError(f"bad permutation entry {token!r}") from exc
     try:
         return PermutationPair(tuple(values))
-    except Exception as exc:
+    except RejectedInputError as exc:
         raise ParseError(str(exc)) from exc
 
 
@@ -92,14 +145,21 @@ def format_permutation(pp: PermutationPair) -> str:
 
 
 def parse_disks(text: str) -> DiskArrangement:
-    rows = _content_lines(text)
-    for row in rows:
-        if len(row) != 3:
-            raise ParseError(f"disk line needs 'x y r', got {row!r}")
+    rows = _records(text, 3, "disk line needs 'x y r'")
     try:
         return DiskArrangement.from_triples(rows)
-    except Exception as exc:
+    except RejectedInputError as exc:
         raise ParseError(str(exc)) from exc
+
+
+def _disk_graph(text: str) -> Graph:
+    """``disk_graph(parse_disks(text))``, without building Fractions: the
+    tokens go as ratios straight to the builder's kernel."""
+    rows = _records(text, 3, "disk line needs 'x y r'")
+    ratios = _ratios(rows)
+    if not all(n > 0 for n, _ in ratios[2::3]):
+        return disk_graph(parse_disks(text))  # raises the parser's error
+    return from_edge_list(len(rows), _disk_edges(ratios))
 
 
 def format_disks(D: DiskArrangement) -> str:

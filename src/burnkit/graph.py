@@ -5,12 +5,21 @@ sets, permutation pairs, disk arrangements) use exact rational arithmetic so
 adjacency decisions never flip with floating-point rounding.  Overlap is
 closed-set: intervals or disks that share exactly one boundary point count
 as overlapping.
+
+The interval and disk builders decide adjacency in one integer frame: every
+coordinate c becomes ``c.numerator * (L // c.denominator)``, where L is the
+lcm of the input's denominators, so every comparison is between plain ints.
+L is capped at ``_FRAME_BITS`` bits, because n distinct denominators can
+make it the product of all of them, carried by every coordinate.  Past the
+cap the builders sort the exact ``Fraction`` keys instead, and the disk test
+scales each pair by its own denominators (see ``disk_graph``).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -312,16 +321,43 @@ def diameter_path(G: Graph) -> list[int]:
 Rational = Fraction | int | str
 
 
-def _as_fraction(value) -> Fraction:
+_FRAME_BITS = 64
+"""Most bits of the lcm that puts a geometric input on integers (module docstring)."""
+
+
+def _ratio(value) -> tuple[int, int]:
+    """``(numerator, denominator)`` of a rational in lowest terms, as ``Fraction``
+    reads it: the same value, or RejectedInputError with the same message.
+
+    Fraction's grammar allows space and a sign only before a numerator, and
+    ``int`` reads every numerator that ends in a digit as Fraction would, so
+    integers and ``int/int`` strings skip its regex; every other string, a
+    zero denominator included, goes through Fraction.
+    """
     try:
         if isinstance(value, str):
+            numerator, slash, denominator = value.partition("/")
+            if slash:
+                if denominator.isdecimal() and numerator[-1:].isdecimal():
+                    d = int(denominator)
+                    if d:
+                        n = int(numerator)
+                        g = math.gcd(n, d)
+                        return n // g, d // g
+            elif value.lstrip("+-").isdecimal():
+                return int(value), 1
             # Fraction would build 10**exponent: cap it at Python's int digit limit
             _, e, exponent = value.lower().rpartition("e")
             if e and abs(int(exponent)) > 4300:
                 raise RejectedInputError(f"exponent of {value!r} exceeds 4300 in absolute value")
-        return Fraction(value)
+        value = Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise RejectedInputError(f"not a rational number: {value!r}") from exc
+    return value.numerator, value.denominator
+
+
+def _as_fraction(value) -> Fraction:
+    return Fraction(*_ratio(value))
 
 
 @dataclass(frozen=True)
@@ -342,26 +378,44 @@ class IntervalSet:
         return cls(tuple((_as_fraction(s), _as_fraction(e)) for s, e in pairs))
 
 
-def _overlaps(extents: Sequence[tuple[Fraction, Fraction]]) -> list[tuple[int, int]]:
-    """Index pairs (a, b) whose closed extents ``(start, end)`` meet.
+def _frame(ratios: Sequence[tuple[int, int]]) -> list[int] | None:
+    """Each ``(numerator, denominator)`` times L, the lcm of the denominators,
+    as an int; None if L has more than ``_FRAME_BITS`` bits."""
+    lcm = 1
+    for d in {d for _, d in ratios}:
+        lcm = math.lcm(lcm, d)
+        if lcm.bit_length() > _FRAME_BITS:
+            return None
+    return [n * (lcm // d) for n, d in ratios]
+
+
+def _overlaps(starts: Sequence, ends: Sequence) -> list[tuple[int, int]]:
+    """Index pairs (a, b) whose closed extents ``[starts[i], ends[i]]`` meet.
 
     In order of start, b meets an earlier-starting a iff b starts by a's
-    end.  The extents are intervals, or disks' x-extents (see ``disk_graph``).
+    end: one bisection per extent finds them.  The keys are ints in the
+    frame, or exact Fractions past it; the extents are intervals, or disks'
+    x-extents (see ``disk_graph``).
     """
-    order = sorted(range(len(extents)), key=lambda i: extents[i][0])
+    order = sorted(range(len(starts)), key=starts.__getitem__)
+    ranked = [starts[i] for i in order]
     pairs = []
-    for rank, a in enumerate(order):
-        end = extents[a][1]
-        following = rank + 1
-        while following < len(order) and extents[order[following]][0] <= end:
-            pairs.append((a, order[following]))
-            following += 1
+    for rank, a in enumerate(order, 1):
+        for b in order[rank : bisect_right(ranked, ends[a], rank)]:
+            pairs.append((a, b))
     return pairs
+
+
+def _interval_edges(ratios: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Meeting pairs of closed intervals, given as ratios: start, end, start, ..."""
+    keys = _frame(ratios) or [Fraction(n, d) for n, d in ratios]
+    return _overlaps(keys[0::2], keys[1::2])
 
 
 def interval_graph(L: IntervalSet) -> Graph:
     """One vertex per interval; edge wherever two closed intervals intersect."""
-    return from_edge_list(len(L.intervals), _overlaps(L.intervals))
+    ratios = [(c.numerator, c.denominator) for interval in L.intervals for c in interval]
+    return from_edge_list(len(L.intervals), _interval_edges(ratios))
 
 
 @dataclass(frozen=True)
@@ -416,29 +470,50 @@ class DiskArrangement:
         return cls(tuple((_as_fraction(x), _as_fraction(y), _as_fraction(r)) for x, y, r in triples))
 
 
+def _disk_edges(ratios: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Meeting pairs of closed disks, given as ratios: x, y, r, x, ... (see ``disk_graph``)."""
+    frame = _frame(ratios)
+    edges = []
+    if frame is None:
+        scaled = []
+        for disk in zip(ratios[0::3], ratios[1::3], ratios[2::3]):
+            d = math.lcm(*(den for _, den in disk))
+            scaled.append(tuple(num * (d // den) for num, den in disk) + (d,))
+        keys = [Fraction(n, d) for n, d in ratios]
+        extents = list(zip(keys[0::3], keys[2::3]))
+        for a, b in _overlaps([x - r for x, r in extents], [x + r for x, r in extents]):
+            xa, ya, ra, da = scaled[a]
+            xb, yb, rb, db = scaled[b]
+            dx, dy, reach = xa * db - xb * da, ya * db - yb * da, ra * db + rb * da
+            if dx * dx + dy * dy <= reach * reach:
+                edges.append((a, b))
+        return edges
+    disks = list(zip(frame[0::3], frame[1::3], frame[2::3]))
+    for a, b in _overlaps([x - r for x, _, r in disks], [x + r for x, _, r in disks]):
+        xa, ya, ra = disks[a]
+        xb, yb, rb = disks[b]
+        dx, dy, reach = xa - xb, ya - yb, ra + rb
+        if dx * dx + dy * dy <= reach * reach:
+            edges.append((a, b))
+    return edges
+
+
 def disk_graph(D: DiskArrangement) -> Graph:
     """Edge wherever two closed disks intersect (tangency counts).
 
     Two disks meet only if their x-extents ``[x - r, x + r]`` do, since a
     shared point's x lies in both; so only the pairs that ``_overlaps`` finds
-    among the exact x-extents are tested.  Each test is one exact integer
-    comparison.  A disk is held as ``(X, Y, R, d)``, its coordinates times d,
-    the lcm of their denominators; two disks meet iff
-    ``(Xa db - Xb da)^2 + (Ya db - Yb da)^2 <= (Ra db + Rb da)^2``, both sides
-    being the rational test times ``(da db)^2``.  Each pair scales by its own
-    ``da db``: one lcm over all disks could carry the product of every
-    denominator in every coordinate.
+    among the x-extents are tested, each by one exact integer comparison.
+
+    In the frame (see the module docstring) a disk is ``(X, Y, R)``, its
+    coordinates times L, and two disks meet iff
+    ``(Xa - Xb)^2 + (Ya - Yb)^2 <= (Ra + Rb)^2``, the rational test times L².
+    L is capped at ``_FRAME_BITS`` bits.  Past the cap the sweep sorts the
+    exact ``Fraction`` extents, and a disk is ``(X, Y, R, d)``, its
+    coordinates times d, the lcm of its own denominators; two disks meet iff
+    ``(Xa db - Xb da)^2 + (Ya db - Yb da)^2 <= (Ra db + Rb da)^2``, the
+    rational test times ``(da db)^2``, so no coordinate carries more than
+    its own three denominators.
     """
-    disks = D.disks
-    scaled = []
-    for disk in disks:
-        d = math.lcm(*(c.denominator for c in disk))
-        scaled.append(tuple(c.numerator * (d // c.denominator) for c in disk) + (d,))
-    edges = []
-    for a, b in _overlaps([(x - r, x + r) for x, _, r in disks]):
-        xa, ya, ra, da = scaled[a]
-        xb, yb, rb, db = scaled[b]
-        dx, dy, reach = xa * db - xb * da, ya * db - yb * da, ra * db + rb * da
-        if dx * dx + dy * dy <= reach * reach:
-            edges.append((a, b))
-    return from_edge_list(len(disks), edges)
+    ratios = [(c.numerator, c.denominator) for disk in D.disks for c in disk]
+    return from_edge_list(len(D.disks), _disk_edges(ratios))

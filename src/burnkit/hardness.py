@@ -277,7 +277,7 @@ def gen_ig_gadget(inst: D3PInstance, solution=None) -> GadgetCertificate:
     spine = tuple(range(next_id))
     # caterpillar interval representation: unit-ish spine windows, pendants
     # stabbed into the region their anchor covers alone
-    pairs = [(Fraction(v), Fraction(v) + Fraction(6, 5)) for v in spine]
+    pairs = [(Fraction(v), Fraction(5 * v + 6, 5)) for v in spine]
 
     name_table = {
         f"{label}[{t}]": v
@@ -292,7 +292,7 @@ def gen_ig_gadget(inst: D3PInstance, solution=None) -> GadgetCertificate:
         for h, anchor in enumerate(segments[label][1:-1], start=1):
             name_table[f"u{label[1:]}^{h}"] = len(pairs)
             ids.append(len(pairs))
-            pairs.append((Fraction(anchor) + Fraction(3, 10), Fraction(anchor) + Fraction(2, 5)))
+            pairs.append((Fraction(10 * anchor + 3, 10), Fraction(5 * anchor + 2, 5)))
         combs[label] = tuple(ids)
     intervals = IntervalSet(tuple(pairs))
     graph = interval_graph(intervals)

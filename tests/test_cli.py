@@ -383,6 +383,19 @@ class TestUnreadableAndUnwritableFiles:
             ["burn", "--engine", "approx3", "--format", fmt, str(target)], capsys, "exceeds 4300"
         )
 
+    @pytest.mark.parametrize(
+        "fmt, text", [("edges", "5 0\n"), ("intervals", "0 1\n" * 5), ("disks", "0 0 1\n" * 5)]
+    )
+    def test_input_past_the_vertex_cap(self, fmt, text, monkeypatch, tmp_path, capsys):
+        from burnkit import formats
+
+        monkeypatch.setattr(formats, "_VERTEX_CAP", 4)
+        target = tmp_path / f"five.{fmt}"
+        target.write_text(text)
+        self.assert_exit_3(
+            ["burn", "--engine", "approx3", "--format", fmt, str(target)], capsys, "vertex cap of 4"
+        )
+
     def test_output_directory_is_a_file(self, tmp_path, capsys):
         (tmp_path / "plain").write_text("")
         prefix = tmp_path / "plain" / "x"

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from burnkit import ParseError, simulate
+from burnkit import ParseError, disk_graph, interval_graph, simulate
+from burnkit import formats
 from burnkit.formats import (
     burn_outcome_record,
     dumps,
@@ -67,6 +69,87 @@ class TestStructuredInputs:
     def test_bad_rational(self):
         with pytest.raises(ParseError):
             parse_intervals("0 zebra\n")
+
+
+class TestVertexCap:
+    """Every parser refuses more vertices than the cap, before it builds anything."""
+
+    @pytest.mark.parametrize(
+        "parse, at_cap, past_cap",
+        [
+            (parse_edge_list, "4 0\n", "5 0\n"),
+            (parse_intervals, "0 1\n" * 4, "0 1\n" * 5),
+            (parse_permutation, "1 2\n3 4\n", "1 2\n3 4 5\n"),
+            (parse_disks, "0 0 1\n" * 4, "0 0 1\n" * 5),
+            (formats._interval_graph, "0 1\n" * 4, "0 1\n" * 5),
+            (formats._disk_graph, "0 0 1\n" * 4, "0 0 1\n" * 5),
+        ],
+    )
+    def test_refused_past_the_cap(self, monkeypatch, parse, at_cap, past_cap):
+        monkeypatch.setattr(formats, "_VERTEX_CAP", 4)
+        parse(at_cap)
+        with pytest.raises(ParseError, match="5 vertices, exceeding the vertex cap of 4"):
+            parse(past_cap)
+
+    def test_edge_list_header_is_checked_before_its_lines(self, monkeypatch):
+        monkeypatch.setattr(formats, "_VERTEX_CAP", 4)
+        with pytest.raises(ParseError, match="vertex cap of 4"):
+            parse_edge_list("9 1\n0 1\n")
+
+
+_GOLDEN = Path(__file__).parent / "golden" / "inputs"
+_GEOMETRIC_TEXTS = {
+    "intervals": [
+        "0 2\n1/2 3/2\n1.5 4\n",
+        "# comment\n\n-1/3 1/3  # tail\n1/3 5/9\n",
+        "0 1\n" * 3,
+        "",
+        "2 1\n",  # empty interval
+        "0 1\n1/2 1/2\n",
+        "0 zebra\n",
+        "0 1/0\n",
+        "0 1e4301\n0 zebra\n",
+        "0 3/-2\n",
+        "1 2 3\n",
+        "1/18446744073709551629 1/18446744073709551653\n0 1\n",
+    ]
+    + [path.read_text() for path in sorted(_GOLDEN.glob("*.intervals"))],
+    "disks": [
+        "0 0 1\n2 0 1\n5 0 1\n",
+        "0 0 1\n3/2 0 1\n-7/3 1/9 5/4\n",
+        "0 0 0\n",
+        "0 0 -1/2\n",
+        "0 0 -1\n0 0 zebra\n",
+        "0 0 1\n2 0 one\n",
+        "0 0\n",
+        "0 1e4300 1\n1/18446744073709551629 0 1\n",
+    ]
+    + [path.read_text() for path in sorted(_GOLDEN.glob("*.disks"))],
+}
+
+
+class TestTextToGraph:
+    """The CLI reads interval and disk text straight into the builders'
+    integer kernel; it must give the public parser's graph, or its error."""
+
+    @staticmethod
+    def outcome(read, text):
+        try:
+            return read(text).adjacency
+        except ParseError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize(
+        "fmt, text",
+        [(fmt, text) for fmt, texts in _GEOMETRIC_TEXTS.items() for text in texts],
+        ids=[f"{fmt}-{i}" for fmt, texts in _GEOMETRIC_TEXTS.items() for i in range(len(texts))],
+    )
+    def test_matches_the_public_parser(self, fmt, text):
+        fast, public = {
+            "intervals": (formats._interval_graph, lambda t: interval_graph(parse_intervals(t))),
+            "disks": (formats._disk_graph, lambda t: disk_graph(parse_disks(t))),
+        }[fmt]
+        assert self.outcome(fast, text) == self.outcome(public, text)
 
 
 class TestDot:

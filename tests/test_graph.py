@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from burnkit import (
@@ -22,8 +22,9 @@ from burnkit import (
     neighborhood,
     permutation_graph,
 )
+from burnkit import graph
 from burnkit.graph import _path_order
-from burnkit.hardness import gen_spider, gen_spider_forest
+from burnkit.hardness import gen_ig_gadget, gen_spider, gen_spider_forest, validate_d3p
 
 from helpers import (
     complete_graph,
@@ -283,6 +284,7 @@ class TestIntervalGraph:
     def test_sweep_matches_all_pairs_and_networkx(self):
         nx = pytest.importorskip("networkx")
         rng = random.Random(29)
+        inputs = []
         for _ in range(300):
             pairs = []
             for _ in range(rng.randint(0, 25)):
@@ -295,6 +297,13 @@ class TestIntervalGraph:
                 else:
                     start = Fraction(rng.randint(0, 24), rng.randint(1, 4))
                     pairs.append((start, start + Fraction(rng.randint(1, 12), rng.randint(1, 4))))
+            inputs.append(pairs)
+        for past, denominators in _AT_THE_CAP:
+            for _ in range(60):
+                pairs = _intervals_at_the_cap(rng, denominators)
+                assert (graph._frame(_ratios(IntervalSet(tuple(pairs)).intervals)) is None) == past
+                inputs.append(pairs)
+        for pairs in inputs:
             g = interval_graph(IntervalSet.from_pairs(pairs))
             oracle = nx.interval_graph(pairs)
             n = len(pairs)
@@ -447,7 +456,110 @@ def _random_arrangement(rng):
     return DiskArrangement(tuple(disks))
 
 
+# (past the frame's cap?, denominators whose lcm is their product)
+_AT_THE_CAP = (
+    (False, (2**32 - 1, 2**32 + 1, 1)),  # lcm 2**64 - 1: just under
+    (True, (2**32 - 1, 2**32 + 1, 2)),  # lcm 2**65 - 2: just past
+    (True, (2**64 + 13, 2**64 + 37, 2**64 + 51)),  # distinct primes past 2**64
+)
+
+
+def _ratios(values):
+    return [(c.numerator, c.denominator) for value in values for c in value]
+
+
+def _intervals_at_the_cap(rng, denominators):
+    """Intervals over ``denominators``, the first having one of each, so that
+    their lcm is the lcm of all of them; others share or miss an end by one unit."""
+    d1, d2, d3 = denominators
+    pairs = [(Fraction(1, d1), Fraction(1, d1) + Fraction(1, d2) + Fraction(1, d3))]
+    for _ in range(rng.randint(0, 15)):
+        unit = Fraction(1, rng.choice(denominators))
+        if rng.random() < 0.5:
+            end = rng.choice(pairs)[1] + rng.choice((0, 0, unit, -unit))
+            pairs.append((end, end + rng.randint(1, 6 * unit.denominator) * unit))
+        else:
+            start = rng.randint(0, 24 * unit.denominator) * unit
+            pairs.append((start, start + rng.randint(1, 12 * unit.denominator) * unit))
+    return pairs
+
+
+def _arrangement_at_the_cap(rng, denominators):
+    """Disks over ``denominators``, the first having one of each, so that their
+    lcm is the lcm of all of them; others tangent, or off by one unit, along an axis."""
+    disks = [tuple(Fraction(1, d) for d in denominators)]
+    for _ in range(rng.randint(0, 15)):
+        unit = Fraction(1, rng.choice(denominators))
+        if rng.random() < 0.6:
+            x, y, r = rng.choice(disks)
+            s = rng.randint(1, 8 * unit.denominator) * unit
+            dx, dy = rng.choice(_DIRECTIONS[:4])
+            reach = r + s + rng.choice((0, 0, unit, -unit))
+            disks.append((x + reach * dx, y + reach * dy, s))
+        else:
+            disks.append(tuple(rng.randint(-40 * unit.denominator, 40 * unit.denominator) * unit for _ in "xy")
+                         + (rng.randint(1, 12 * unit.denominator) * unit,))
+    return DiskArrangement(tuple(disks))
+
+
+def _reference_rational(token: str):
+    """What the parser gave before its fast path: the exponent cap, then
+    Fraction; the value, or the RejectedInputError message."""
+    try:
+        _, e, exponent = token.lower().rpartition("e")
+        if e and abs(int(exponent)) > 4300:
+            return f"exponent of {token!r} exceeds 4300 in absolute value"
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        return f"not a rational number: {token!r}"
+
+
+_TOKEN_PIECES = (
+    "0", "1", "7", "10", "4300", "4301", "\u0663", "\uff13", "\U0001d7d7", "\u00b2",
+    "_", "__", "-", "+", "/", ".", "e", "E", "e-", " ", "\t", "\n", "\u00a0", "\u2003", "\x1c", "x",
+)
+
+
 class TestRationalTokens:
+    @settings(max_examples=600, deadline=None)
+    @given(st.lists(st.sampled_from(_TOKEN_PIECES), max_size=7).map("".join))
+    @example("3/-2")
+    @example("3/ 2")
+    @example("3 /2")
+    @example("/2")
+    @example("3/0")
+    @example("0/00")
+    @example("-0/5")
+    @example("-12/18")
+    @example(" +3/4\n")
+    @example("1_000/1_0")
+    @example("1.5")
+    @example("-2.5E+4300")
+    @example("1e-4300")
+    @example("1E+4301")
+    @example("1e4301")
+    @example("1e-4301/2")
+    @example("9" * 4300)
+    @example("9" * 4301)
+    @example("-" + "9" * 4300 + "/" + "9" * 4300)
+    @example("1/" + "9" * 4301)
+    def test_parser_matches_fraction(self, token):
+        expected = _reference_rational(token)
+        if isinstance(expected, Fraction):
+            radius = expected if expected > 0 else 1
+            x, _, r = DiskArrangement.from_triples([(token, 0, token if expected > 0 else 1)]).disks[0]
+            assert (x, r) == (expected, radius) and type(x) is Fraction
+            assert IntervalSet.from_pairs([(token, expected + 1)]).intervals[0][0] == expected
+            assert graph._ratio(token) == (expected.numerator, expected.denominator)
+        else:
+            with pytest.raises(RejectedInputError) as raised:
+                DiskArrangement.from_triples([(0, token, 1)])
+            assert str(raised.value) == expected
+            with pytest.raises(RejectedInputError) as raised:
+                IntervalSet.from_pairs([(token, 1)])
+            assert str(raised.value) == expected
+
+
     @pytest.mark.parametrize("token", ["1e4300", "1e-4300", "-2.5E+4300"])
     def test_exponent_at_the_digit_limit_is_accepted(self, token):
         value = Fraction(token)
@@ -466,9 +578,14 @@ class TestRationalTokens:
 class TestDiskGraph:
     def test_sweep_matches_all_pairs_reference(self):
         rng = random.Random(41)
+        arrangements = [_random_arrangement(rng) for _ in range(400)]
+        for past, denominators in _AT_THE_CAP:
+            for _ in range(60):
+                D = _arrangement_at_the_cap(rng, denominators)
+                assert (graph._frame(_ratios(D.disks)) is None) == past
+                arrangements.append(D)
         tested = 0
-        for _ in range(400):
-            D = _random_arrangement(rng)
+        for D in arrangements:
             g = disk_graph(D)
             assert g == _all_pairs_disk_graph(D)
             assert g.edges() == _exact_disk_edges(D)
@@ -532,3 +649,73 @@ class TestDiskGraph:
                 triples.append((ux * rho, uy * rho, 1))
         g = disk_graph(DiskArrangement.from_triples(triples))
         assert g == gen_spider(3, 5)
+
+
+class _CountedKey:
+    """A sweep key that counts its comparisons in ``counter[0]``."""
+
+    __slots__ = ("key", "counter")
+
+    def __init__(self, key, counter):
+        self.key = key
+        self.counter = counter
+
+    def __lt__(self, other):
+        self.counter[0] += 1
+        return self.key < other.key
+
+    def __le__(self, other):
+        self.counter[0] += 1
+        return self.key <= other.key
+
+
+def _disk_ring(n: int) -> DiskArrangement:
+    """n unit disks around a circle, neighbours about 3/2 apart, centres on a 1/1000 grid."""
+    radius = 3 * n / (4 * math.pi)
+    return DiskArrangement(tuple(
+        (
+            Fraction(round(1000 * radius * math.cos(2 * math.pi * i / n)), 1000),
+            Fraction(round(1000 * radius * math.sin(2 * math.pi * i / n)), 1000),
+            Fraction(1),
+        )
+        for i in range(n)
+    ))
+
+
+class TestSweepWork:
+    """Work contract of the geometric builders: the sweep's key comparisons
+    stay within a constant of the candidate pairs plus n log n."""
+
+    @staticmethod
+    def work(monkeypatch, build, arg) -> tuple[int, int, int]:
+        """(key comparisons, candidate pairs, extents) of the sweep in ``build(arg)``."""
+        comparisons, seen = [0], []
+        sweep = graph._overlaps
+
+        def counted(starts, ends):
+            pairs = sweep(
+                [_CountedKey(k, comparisons) for k in starts], [_CountedKey(k, comparisons) for k in ends]
+            )
+            seen.append((len(pairs), len(starts)))
+            return pairs
+
+        monkeypatch.setattr(graph, "_overlaps", counted)
+        build(arg)
+        monkeypatch.undo()
+        [(candidates, n)] = seen
+        return comparisons[0], candidates, n
+
+    def assert_contract(self, comparisons, candidates, n):
+        # a sort and one bisection per extent: at most about 2 n log2 n
+        assert comparisons <= 2 * (candidates + n * n.bit_length())
+
+    @pytest.mark.parametrize("x", [[4, 5, 6], [7, 8, 12], [10, 11, 12, 13, 14, 18]])
+    def test_ig_gadgets(self, monkeypatch, x):
+        intervals = gen_ig_gadget(validate_d3p(x)).intervals
+        self.assert_contract(*self.work(monkeypatch, interval_graph, intervals))
+
+    def test_disk_rings_at_n_and_4n(self, monkeypatch):
+        for n in (100, 400):
+            ring = _disk_ring(n)
+            assert disk_graph(ring) == cycle_graph(n)
+            self.assert_contract(*self.work(monkeypatch, disk_graph, ring))

@@ -237,24 +237,29 @@ def cmd_verify(args) -> int:
 # -- gen -----------------------------------------------------------------------
 
 
+def _vertices(n: int) -> int:
+    """n, once it is within the vertex cap that reading the output back enforces."""
+    formats._check_vertex_count(n)
+    return n
+
+
 def _gen_random(args, rng, write, record) -> Graph:
     if not 0 <= args.p <= 1:
         raise RejectedInputError(f"--p must lie in [0, 1], got {args.p}")
-    edges = [
-        (u, v) for u in range(args.n) for v in range(u + 1, args.n) if rng.random() < args.p
-    ]
-    return from_edge_list(args.n, edges)
+    n = _vertices(args.n)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < args.p]
+    return from_edge_list(n, edges)
 
 
 def _gen_cycle(args, rng, write, record) -> Graph:
     if args.n < 3:
         raise RejectedInputError("a cycle needs at least three vertices")
-    return _cycle_graph(args.n)
+    return _cycle_graph(_vertices(args.n))
 
 
 def _gen_intervals(args, rng, write, record) -> Graph:
     pairs = []
-    for _ in range(args.n):
+    for _ in range(_vertices(args.n)):
         start = rng.randint(0, 3 * args.n)
         pairs.append((Fraction(start), Fraction(start + rng.randint(1, 4))))
     intervals = formats.IntervalSet(tuple(pairs))
@@ -263,7 +268,7 @@ def _gen_intervals(args, rng, write, record) -> Graph:
 
 
 def _gen_permutation(args, rng, write, record) -> Graph:
-    values = list(range(1, args.k + 1))
+    values = list(range(1, _vertices(args.k) + 1))
     rng.shuffle(values)
     pp = formats.PermutationPair(tuple(values))
     write(".perm", formats.format_permutation(pp))
@@ -308,13 +313,14 @@ def _build_dk(args, inst, solution, write):
 
 
 # kind -> (args, rng, write, record) -> Graph; ``write(suffix, text)`` adds a
-# file beside the graph and the record may gain fields
+# file beside the graph and the record may gain fields.  Kinds sized by --n or
+# --k check the vertex cap before they build anything.
 _GEN_KINDS: dict[str, Callable] = {
     "spider": lambda args, rng, write, record: hardness.gen_spider(args.s, args.r),
     "spider-forest": lambda args, rng, write, record: hardness.gen_spider_forest(
         _int_list(args.degrees)
     ),
-    "path": lambda args, rng, write, record: _path_graph(args.n),
+    "path": lambda args, rng, write, record: _path_graph(_vertices(args.n)),
     "cycle": _gen_cycle,
     "random": _gen_random,
     "ig-gadget": _gen_gadget(_build_ig),
@@ -327,23 +333,25 @@ _GEN_KINDS: dict[str, Callable] = {
 
 def cmd_gen(args) -> int:
     prefix = Path(args.out)
-    files: list[str] = []
+    outputs: dict[Path, str] = {}
     record: dict = {"command": "gen", "kind": args.kind, "seed": args.seed}
 
     def write(suffix: str, text: str) -> None:
-        path = prefix.parent / (prefix.name + suffix)
+        outputs[prefix.parent / (prefix.name + suffix)] = text
+
+    G = _GEN_KINDS[args.kind](args, random.Random(args.seed), write, record)
+    # no file is written for a graph that reading it back would refuse
+    formats._check_vertex_count(G.n)
+    write(".edges", formats.format_edge_list(G))
+    for path, text in outputs.items():
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(text)
         except OSError as exc:
             raise ParseError(f"cannot write {path}: {exc}") from exc
-        files.append(str(path))
-
-    G = _GEN_KINDS[args.kind](args, random.Random(args.seed), write, record)
-    write(".edges", formats.format_edge_list(G))
     record["n"] = G.n
     record["m"] = G.edge_count
-    record["files"] = sorted(files)
+    record["files"] = sorted(str(path) for path in outputs)
     _emit(args, record)
     return 0
 

@@ -23,12 +23,9 @@ from .graph import (
     Graph,
     IntervalSet,
     PermutationPair,
-    _disk_edges,
-    _interval_edges,
-    _ratio,
-    disk_graph,
+    _disk_graph_from_rows,
+    _interval_graph_from_rows,
     from_edge_list,
-    interval_graph,
 )
 from .hardness import GadgetCertificate
 from .processes import FirefightRun, PercolationRun
@@ -37,12 +34,13 @@ from .processes import FirefightRun, PercolationRun
 _VERTEX_CAP = 100_000
 """Most vertices a parsed input may have.  It bounds what an edge-list header
 can make the parser allocate, and sits far above every golden and benchmark
-input (a few thousand vertices at most)."""
+input (a few thousand vertices at most).  ``gen`` refuses to write a graph
+past it, so every file it writes reads back."""
 
 
 def _check_vertex_count(n: int) -> None:
     if n > _VERTEX_CAP:
-        raise ParseError(f"input has {n} vertices, exceeding the vertex cap of {_VERTEX_CAP}")
+        raise ParseError(f"graph has {n} vertices, exceeding the vertex cap of {_VERTEX_CAP}")
 
 
 def _content_lines(text: str) -> list[list[str]]:
@@ -95,13 +93,6 @@ def _records(text: str, width: int, shape: str) -> list[list[str]]:
     return rows
 
 
-def _ratios(rows: list[list[str]]) -> list[tuple[int, int]]:
-    try:
-        return [_ratio(token) for row in rows for token in row]
-    except RejectedInputError as exc:
-        raise ParseError(str(exc)) from exc
-
-
 def parse_intervals(text: str) -> IntervalSet:
     rows = _records(text, 2, "interval line needs 'start end'")
     try:
@@ -111,13 +102,13 @@ def parse_intervals(text: str) -> IntervalSet:
 
 
 def _interval_graph(text: str) -> Graph:
-    """``interval_graph(parse_intervals(text))``, without building Fractions:
-    the tokens go as ratios straight to the builder's kernel."""
+    """``interval_graph(parse_intervals(text))``, the same graph or message,
+    without building Fractions (see ``graph._interval_graph_from_rows``)."""
     rows = _records(text, 2, "interval line needs 'start end'")
-    ratios = _ratios(rows)
-    if not all(sn * ed < en * sd for (sn, sd), (en, ed) in zip(ratios[0::2], ratios[1::2])):
-        return interval_graph(parse_intervals(text))  # raises the parser's error
-    return from_edge_list(len(rows), _interval_edges(ratios))
+    try:
+        return _interval_graph_from_rows(rows)
+    except RejectedInputError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def format_intervals(L: IntervalSet) -> str:
@@ -153,13 +144,13 @@ def parse_disks(text: str) -> DiskArrangement:
 
 
 def _disk_graph(text: str) -> Graph:
-    """``disk_graph(parse_disks(text))``, without building Fractions: the
-    tokens go as ratios straight to the builder's kernel."""
+    """``disk_graph(parse_disks(text))``, the same graph or message, without
+    building Fractions (see ``graph._disk_graph_from_rows``)."""
     rows = _records(text, 3, "disk line needs 'x y r'")
-    ratios = _ratios(rows)
-    if not all(n > 0 for n, _ in ratios[2::3]):
-        return disk_graph(parse_disks(text))  # raises the parser's error
-    return from_edge_list(len(rows), _disk_edges(ratios))
+    try:
+        return _disk_graph_from_rows(rows)
+    except RejectedInputError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def format_disks(D: DiskArrangement) -> str:

@@ -360,6 +360,15 @@ def _as_fraction(value) -> Fraction:
     return Fraction(*_ratio(value))
 
 
+def _check_interval(start: tuple[int, int], end: tuple[int, int]) -> None:
+    """RejectedInputError unless start < end, each ``(numerator, denominator)``."""
+    (sn, sd), (en, ed) = start, end
+    if not sn * ed < en * sd:
+        raise RejectedInputError(
+            f"interval [{Fraction(*start)}, {Fraction(*end)}] must have start < end"
+        )
+
+
 @dataclass(frozen=True)
 class IntervalSet:
     """Closed intervals on the line with exact rational endpoints."""
@@ -370,8 +379,7 @@ class IntervalSet:
         for start, end in self.intervals:
             if not (isinstance(start, Fraction) and isinstance(end, Fraction)):
                 raise RejectedInputError("interval endpoints must be Fractions")
-            if not start < end:
-                raise RejectedInputError(f"interval [{start}, {end}] must have start < end")
+            _check_interval(start.as_integer_ratio(), end.as_integer_ratio())
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[Rational, Rational]]) -> "IntervalSet":
@@ -414,8 +422,17 @@ def _interval_edges(ratios: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
 
 def interval_graph(L: IntervalSet) -> Graph:
     """One vertex per interval; edge wherever two closed intervals intersect."""
-    ratios = [(c.numerator, c.denominator) for interval in L.intervals for c in interval]
+    ratios = [c.as_integer_ratio() for interval in L.intervals for c in interval]
     return from_edge_list(len(L.intervals), _interval_edges(ratios))
+
+
+def _interval_graph_from_rows(rows: Sequence[Sequence[str]]) -> Graph:
+    """``interval_graph(IntervalSet.from_pairs(rows))``, the same graph or
+    message, without building Fractions: the tokens go as ratios to the kernel."""
+    ratios = [_ratio(token) for row in rows for token in row]
+    for start, end in zip(ratios[0::2], ratios[1::2]):
+        _check_interval(start, end)
+    return from_edge_list(len(rows), _interval_edges(ratios))
 
 
 @dataclass(frozen=True)
@@ -452,6 +469,12 @@ def permutation_graph(pp: PermutationPair) -> Graph:
     return from_edge_list(k, edges)
 
 
+def _check_radius(r: tuple[int, int]) -> None:
+    """RejectedInputError unless the ``(numerator, denominator)`` r is positive."""
+    if r[0] <= 0:
+        raise RejectedInputError("disk radii must be strictly positive")
+
+
 @dataclass(frozen=True)
 class DiskArrangement:
     """Disks in the plane with exact rational centers and positive radii."""
@@ -462,8 +485,7 @@ class DiskArrangement:
         for x, y, r in self.disks:
             if not all(isinstance(c, Fraction) for c in (x, y, r)):
                 raise RejectedInputError("disk coordinates must be Fractions")
-            if r <= 0:
-                raise RejectedInputError("disk radii must be strictly positive")
+            _check_radius(r.as_integer_ratio())
 
     @classmethod
     def from_triples(cls, triples: Iterable[tuple[Rational, Rational, Rational]]) -> "DiskArrangement":
@@ -473,26 +495,21 @@ class DiskArrangement:
 def _disk_edges(ratios: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
     """Meeting pairs of closed disks, given as ratios: x, y, r, x, ... (see ``disk_graph``)."""
     frame = _frame(ratios)
-    edges = []
     if frame is None:
-        scaled = []
+        keys = [Fraction(n, d) for n, d in ratios]
+        disks = []
         for disk in zip(ratios[0::3], ratios[1::3], ratios[2::3]):
             d = math.lcm(*(den for _, den in disk))
-            scaled.append(tuple(num * (d // den) for num, den in disk) + (d,))
-        keys = [Fraction(n, d) for n, d in ratios]
-        extents = list(zip(keys[0::3], keys[2::3]))
-        for a, b in _overlaps([x - r for x, r in extents], [x + r for x, r in extents]):
-            xa, ya, ra, da = scaled[a]
-            xb, yb, rb, db = scaled[b]
-            dx, dy, reach = xa * db - xb * da, ya * db - yb * da, ra * db + rb * da
-            if dx * dx + dy * dy <= reach * reach:
-                edges.append((a, b))
-        return edges
-    disks = list(zip(frame[0::3], frame[1::3], frame[2::3]))
-    for a, b in _overlaps([x - r for x, _, r in disks], [x + r for x, _, r in disks]):
-        xa, ya, ra = disks[a]
-        xb, yb, rb = disks[b]
-        dx, dy, reach = xa - xb, ya - yb, ra + rb
+            disks.append(tuple(num * (d // den) for num, den in disk) + (d,))
+    else:
+        keys = frame
+        disks = [(x, y, r, 1) for x, y, r in zip(frame[0::3], frame[1::3], frame[2::3])]
+    xs, rs = keys[0::3], keys[2::3]
+    edges = []
+    for a, b in _overlaps([x - r for x, r in zip(xs, rs)], [x + r for x, r in zip(xs, rs)]):
+        xa, ya, ra, da = disks[a]
+        xb, yb, rb, db = disks[b]
+        dx, dy, reach = xa * db - xb * da, ya * db - yb * da, ra * db + rb * da
         if dx * dx + dy * dy <= reach * reach:
             edges.append((a, b))
     return edges
@@ -505,15 +522,24 @@ def disk_graph(D: DiskArrangement) -> Graph:
     shared point's x lies in both; so only the pairs that ``_overlaps`` finds
     among the x-extents are tested, each by one exact integer comparison.
 
-    In the frame (see the module docstring) a disk is ``(X, Y, R)``, its
-    coordinates times L, and two disks meet iff
-    ``(Xa - Xb)^2 + (Ya - Yb)^2 <= (Ra + Rb)^2``, the rational test times L².
-    L is capped at ``_FRAME_BITS`` bits.  Past the cap the sweep sorts the
-    exact ``Fraction`` extents, and a disk is ``(X, Y, R, d)``, its
-    coordinates times d, the lcm of its own denominators; two disks meet iff
-    ``(Xa db - Xb da)^2 + (Ya db - Yb da)^2 <= (Ra db + Rb da)^2``, the
-    rational test times ``(da db)^2``, so no coordinate carries more than
-    its own three denominators.
+    A disk is held as ``(X, Y, R, d)``: its coordinates times d, so that all
+    three are ints.  Two disks meet iff
+    ``(Xa db - Xb da)^2 + (Ya db - Yb da)^2 <= (Ra db + Rb da)^2``, both sides
+    being the rational test times ``(da db)^2``.  In the frame (see the
+    module docstring) d is L for every disk, so the coordinates are the
+    frame's ints, d is taken as 1 and the sweep sorts ints.  L is capped at
+    ``_FRAME_BITS`` bits; past the cap d is the lcm of the disk's own
+    denominators, so no coordinate carries more than its own three, and
+    the sweep sorts the exact ``Fraction`` extents.
     """
-    ratios = [(c.numerator, c.denominator) for disk in D.disks for c in disk]
+    ratios = [c.as_integer_ratio() for disk in D.disks for c in disk]
     return from_edge_list(len(D.disks), _disk_edges(ratios))
+
+
+def _disk_graph_from_rows(rows: Sequence[Sequence[str]]) -> Graph:
+    """``disk_graph(DiskArrangement.from_triples(rows))``, the same graph or
+    message, without building Fractions: the tokens go as ratios to the kernel."""
+    ratios = [_ratio(token) for row in rows for token in row]
+    for r in ratios[2::3]:
+        _check_radius(r)
+    return from_edge_list(len(rows), _disk_edges(ratios))

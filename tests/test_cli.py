@@ -396,6 +396,34 @@ class TestUnreadableAndUnwritableFiles:
             ["burn", "--engine", "approx3", "--format", fmt, str(target)], capsys, "vertex cap of 4"
         )
 
+    @pytest.mark.parametrize(
+        "kind, past, at",
+        [
+            (kind, [flag, "5"], [flag, "4"])
+            for kind, flag in [
+                ("path", "--n"),
+                ("cycle", "--n"),
+                ("random", "--n"),
+                ("intervals", "--n"),
+                ("permutation", "--k"),
+            ]
+        ]
+        # a spider has one center and s arms of r vertices
+        + [("spider", ["--s", "2", "--r", "2"], ["--s", "1", "--r", "3"])],
+    )
+    def test_gen_writes_only_what_reads_back(self, kind, past, at, monkeypatch, tmp_path, capsys):
+        from burnkit import formats
+
+        monkeypatch.setattr(formats, "_VERTEX_CAP", 4)
+        self.assert_exit_3(
+            ["gen", kind, *past, "--out", str(tmp_path / "past")],
+            capsys,
+            "graph has 5 vertices, exceeding the vertex cap of 4",
+        )
+        assert list(tmp_path.iterdir()) == []
+        assert run_cli("gen", kind, *at, "--out", str(tmp_path / "at"))[0] == 0
+        assert run_cli("burn", "--engine", "approx3", str(tmp_path / "at.edges"))[0] == 0
+
     def test_output_directory_is_a_file(self, tmp_path, capsys):
         (tmp_path / "plain").write_text("")
         prefix = tmp_path / "plain" / "x"

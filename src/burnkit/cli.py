@@ -212,8 +212,6 @@ def cmd_verify(args) -> int:
         sequence = record_in.get("canonical_sequence")
         if sequence is None:
             raise RejectedInputError("certificate carries no canonical sequence")
-        if not (isinstance(sequence, list) and all(type(v) is int for v in sequence)):
-            raise ParseError("certificate canonical_sequence must be a list of integers")
     elif args.sequence is not None:
         sequence = _int_list(args.sequence)
     else:
@@ -237,16 +235,10 @@ def cmd_verify(args) -> int:
 # -- gen -----------------------------------------------------------------------
 
 
-def _vertices(n: int) -> int:
-    """n, once it is within the vertex cap that reading the output back enforces."""
-    formats._check_vertex_count(n)
-    return n
-
-
 def _gen_random(args, rng, write, record) -> Graph:
     if not 0 <= args.p <= 1:
         raise RejectedInputError(f"--p must lie in [0, 1], got {args.p}")
-    n = _vertices(args.n)
+    n = args.n
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < args.p]
     return from_edge_list(n, edges)
 
@@ -254,12 +246,12 @@ def _gen_random(args, rng, write, record) -> Graph:
 def _gen_cycle(args, rng, write, record) -> Graph:
     if args.n < 3:
         raise RejectedInputError("a cycle needs at least three vertices")
-    return _cycle_graph(_vertices(args.n))
+    return _cycle_graph(args.n)
 
 
 def _gen_intervals(args, rng, write, record) -> Graph:
     pairs = []
-    for _ in range(_vertices(args.n)):
+    for _ in range(args.n):
         start = rng.randint(0, 3 * args.n)
         pairs.append((Fraction(start), Fraction(start + rng.randint(1, 4))))
     intervals = formats.IntervalSet(tuple(pairs))
@@ -268,7 +260,7 @@ def _gen_intervals(args, rng, write, record) -> Graph:
 
 
 def _gen_permutation(args, rng, write, record) -> Graph:
-    values = list(range(1, _vertices(args.k) + 1))
+    values = list(range(1, args.k + 1))
     rng.shuffle(values)
     pp = formats.PermutationPair(tuple(values))
     write(".perm", formats.format_permutation(pp))
@@ -305,29 +297,43 @@ def _build_pg(args, inst, solution, write):
 
 
 def _build_dk(args, inst, solution, write):
-    if args.q is None:
-        raise ParseError("dk-gadget requires --q (ring size)")
     arrangement, cert = hardness.gen_dk_gadget(inst, args.q, solution)
     write(".disks", formats.format_disks(arrangement))
     return cert
 
 
-# kind -> (args, rng, write, record) -> Graph; ``write(suffix, text)`` adds a
-# file beside the graph and the record may gain fields.  Kinds sized by --n or
-# --k check the vertex cap before they build anything.
-_GEN_KINDS: dict[str, Callable] = {
-    "spider": lambda args, rng, write, record: hardness.gen_spider(args.s, args.r),
-    "spider-forest": lambda args, rng, write, record: hardness.gen_spider_forest(
-        _int_list(args.degrees)
+def _largest(args) -> int:
+    """m of the instance in --x, or 0 where there is no positive element."""
+    return max([0, *_int_list(args.x)])
+
+
+def _dk_gadget_order(args) -> int:
+    if args.q is None:
+        raise ParseError("dk-gadget requires --q (ring size)")
+    return hardness._dk_order(_largest(args), args.q)
+
+
+# kind -> (order, generate).  ``order(args)`` is the vertex count the options
+# imply, checked against the vertex cap before anything is built.
+# ``generate(args, rng, write, record)`` returns the graph; ``write(suffix,
+# text)`` adds a file beside it and the record may gain fields.
+_GEN_KINDS: dict[str, tuple[Callable, Callable]] = {
+    "spider": (
+        lambda args: hardness._spider_order(args.s, args.r),
+        lambda args, rng, write, record: hardness.gen_spider(args.s, args.r),
     ),
-    "path": lambda args, rng, write, record: _path_graph(_vertices(args.n)),
-    "cycle": _gen_cycle,
-    "random": _gen_random,
-    "ig-gadget": _gen_gadget(_build_ig),
-    "pg-gadget": _gen_gadget(_build_pg),
-    "dk-gadget": _gen_gadget(_build_dk),
-    "intervals": _gen_intervals,
-    "permutation": _gen_permutation,
+    "spider-forest": (
+        lambda args: hardness._spider_forest_order(_int_list(args.degrees)),
+        lambda args, rng, write, record: hardness.gen_spider_forest(_int_list(args.degrees)),
+    ),
+    "path": (lambda args: args.n, lambda args, rng, write, record: _path_graph(args.n)),
+    "cycle": (lambda args: args.n, _gen_cycle),
+    "random": (lambda args: args.n, _gen_random),
+    "ig-gadget": (lambda args: hardness._ig_order(_largest(args)), _gen_gadget(_build_ig)),
+    "pg-gadget": (lambda args: hardness._pg_order(_largest(args)), _gen_gadget(_build_pg)),
+    "dk-gadget": (_dk_gadget_order, _gen_gadget(_build_dk)),
+    "intervals": (lambda args: args.n, _gen_intervals),
+    "permutation": (lambda args: args.k, _gen_permutation),
 }
 
 
@@ -339,8 +345,10 @@ def cmd_gen(args) -> int:
     def write(suffix: str, text: str) -> None:
         outputs[prefix.parent / (prefix.name + suffix)] = text
 
-    G = _GEN_KINDS[args.kind](args, random.Random(args.seed), write, record)
+    order, generate = _GEN_KINDS[args.kind]
     # no file is written for a graph that reading it back would refuse
+    formats._check_vertex_count(order(args))
+    G = generate(args, random.Random(args.seed), write, record)
     formats._check_vertex_count(G.n)
     write(".edges", formats.format_edge_list(G))
     for path, text in outputs.items():
@@ -396,6 +404,8 @@ _BENCH_KINDS: dict[str, Callable[[int], Graph]] = {"path": _path_graph, "cycle":
 def cmd_bench(args) -> int:
     """Run burn engines over the kind's graphs; the ``path`` engine is the kind's own burner."""
     sizes = _int_list(args.sizes)
+    for size in sizes:
+        formats._check_vertex_count(size)
     engines = [token for token in args.engines.split(",") if token]
     results = []
     for size in sizes:

@@ -130,7 +130,7 @@ class _Search:
     d(u, x_t) > k - t - 1 >= d - t - 1, so the best gain is >= 1.  The one prune
     is capacity: the uncovered count exceeds the remaining balls' sizes, first
     uncapped, then capped by the best gain (balls shrink, legality tightens).
-    A node checks them in that order.  The reachable sum is one table lookup.
+    A node checks them in that order.  The uncapped sum is one table lookup.
     The capped sum needs the best gain only to compare it with the least
     gain that could still cover the uncovered vertices, so a threshold scan
     decides it: the legal vertices in falling ball size, until one reaches
@@ -146,15 +146,13 @@ class _Search:
         self.full = (1 << G.n) - 1
         self.balls = _ball_masks(G, k)
         self.sizes = [[ball.bit_count() for ball in table] for table in self.balls]
-        self.max_ball = [max(row) for row in self.sizes]
-        # reachable[j] bounds how much j balls of radii 0..j-1 can ever cover
-        self.reachable = [0, *itertools.accumulate(self.max_ball)]
         # capacity[r][g] = Σ_{r' <= r} min(g, max_ball[r']) for g <= max_ball[r]:
         # what balls of radii 0..r cover when no gain exceeds g.  A ball grows
-        # with its radius, so max_ball rises and min(g, max_ball[r]) is g.
+        # with its radius, so max_ball rises and min(g, max_ball[r]) is g; and
+        # capacity[r][-1], the sum of max_ball[r'], is all they can ever cover.
         self.capacity = []
         below = [0]
-        for top in self.max_ball:
+        for top in map(max, self.sizes):
             below = [below[min(g, len(below) - 1)] + g for g in range(top + 1)]
             self.capacity.append(below)
         self.by_size: list[list[tuple[int, int, int]] | None] = [None] * k
@@ -200,7 +198,7 @@ class _Search:
         uncovered = self.full & ~covered
         uncovered_count = uncovered.bit_count()
         radius = self.k - depth - 1
-        if uncovered_count > self.reachable[radius + 1]:
+        if uncovered_count > self.capacity[radius][-1]:
             return None
         if uncovered_count:
             # the least best gain whose capped capacity still covers them all

@@ -34,13 +34,22 @@ from .processes import FirefightRun, PercolationRun
 _VERTEX_CAP = 100_000
 """Most vertices a parsed input may have.  It bounds what an edge-list header
 can make the parser allocate, and sits far above every golden and benchmark
-input (a few thousand vertices at most).  ``gen`` refuses to write a graph
-past it, so every file it writes reads back."""
+input (a few thousand vertices at most).  ``gen`` and ``bench`` refuse a
+graph past it before they build it, so every file ``gen`` writes reads back."""
 
 
 def _check_vertex_count(n: int) -> None:
     if n > _VERTEX_CAP:
         raise ParseError(f"graph has {n} vertices, exceeding the vertex cap of {_VERTEX_CAP}")
+
+
+def _parsed(build, *args):
+    """``build(*args)`` on values read from text: the builder's
+    RejectedInputError is the text's ParseError, with the same message."""
+    try:
+        return build(*args)
+    except RejectedInputError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def _content_lines(text: str) -> list[list[str]]:
@@ -70,10 +79,7 @@ def parse_edge_list(text: str) -> Graph:
         except ValueError as exc:
             raise ParseError(f"bad edge line {row!r}") from exc
         edges.append((u, v))
-    try:
-        return from_edge_list(n, edges)
-    except RejectedInputError as exc:
-        raise ParseError(str(exc)) from exc
+    return _parsed(from_edge_list, n, edges)
 
 
 def format_edge_list(G: Graph) -> str:
@@ -83,32 +89,30 @@ def format_edge_list(G: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _records(text: str, width: int, shape: str) -> list[list[str]]:
-    """The content lines of a one-record-per-line input, each ``width`` tokens."""
+# record shapes: tokens per line, and the message for a line of another width
+_INTERVAL_RECORD = (2, "interval line needs 'start end'")
+_DISK_RECORD = (3, "disk line needs 'x y r'")
+
+
+def _records(text: str, shape: tuple[int, str]) -> list[list[str]]:
+    """The content lines of a one-record-per-line input, each of the shape's width."""
+    width, message = shape
     rows = _content_lines(text)
     _check_vertex_count(len(rows))
     for row in rows:
         if len(row) != width:
-            raise ParseError(f"{shape}, got {row!r}")
+            raise ParseError(f"{message}, got {row!r}")
     return rows
 
 
 def parse_intervals(text: str) -> IntervalSet:
-    rows = _records(text, 2, "interval line needs 'start end'")
-    try:
-        return IntervalSet.from_pairs(rows)
-    except RejectedInputError as exc:
-        raise ParseError(str(exc)) from exc
+    return _parsed(IntervalSet.from_pairs, _records(text, _INTERVAL_RECORD))
 
 
 def _interval_graph(text: str) -> Graph:
     """``interval_graph(parse_intervals(text))``, the same graph or message,
     without building Fractions (see ``graph._interval_graph_from_rows``)."""
-    rows = _records(text, 2, "interval line needs 'start end'")
-    try:
-        return _interval_graph_from_rows(rows)
-    except RejectedInputError as exc:
-        raise ParseError(str(exc)) from exc
+    return _parsed(_interval_graph_from_rows, _records(text, _INTERVAL_RECORD))
 
 
 def format_intervals(L: IntervalSet) -> str:
@@ -125,10 +129,7 @@ def parse_permutation(text: str) -> PermutationPair:
                 values.append(int(token))
             except ValueError as exc:
                 raise ParseError(f"bad permutation entry {token!r}") from exc
-    try:
-        return PermutationPair(tuple(values))
-    except RejectedInputError as exc:
-        raise ParseError(str(exc)) from exc
+    return _parsed(PermutationPair, tuple(values))
 
 
 def format_permutation(pp: PermutationPair) -> str:
@@ -136,21 +137,13 @@ def format_permutation(pp: PermutationPair) -> str:
 
 
 def parse_disks(text: str) -> DiskArrangement:
-    rows = _records(text, 3, "disk line needs 'x y r'")
-    try:
-        return DiskArrangement.from_triples(rows)
-    except RejectedInputError as exc:
-        raise ParseError(str(exc)) from exc
+    return _parsed(DiskArrangement.from_triples, _records(text, _DISK_RECORD))
 
 
 def _disk_graph(text: str) -> Graph:
     """``disk_graph(parse_disks(text))``, the same graph or message, without
     building Fractions (see ``graph._disk_graph_from_rows``)."""
-    rows = _records(text, 3, "disk line needs 'x y r'")
-    try:
-        return _disk_graph_from_rows(rows)
-    except RejectedInputError as exc:
-        raise ParseError(str(exc)) from exc
+    return _parsed(_disk_graph_from_rows, _records(text, _DISK_RECORD))
 
 
 def format_disks(D: DiskArrangement) -> str:
@@ -290,6 +283,8 @@ def certificate_record(cert: GadgetCertificate) -> dict:
 
 
 def load_certificate_record(text: str) -> dict:
+    """The certificate JSON as a dict with ``claimed_k``, whose
+    ``canonical_sequence``, if not null, is a list of ints; else ParseError."""
     try:
         record = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -297,4 +292,9 @@ def load_certificate_record(text: str) -> dict:
         raise ParseError(f"bad certificate JSON: {exc}") from exc
     if not isinstance(record, dict) or "claimed_k" not in record:
         raise ParseError("certificate JSON missing required fields")
+    sequence = record.get("canonical_sequence")
+    if sequence is not None and not (
+        isinstance(sequence, list) and all(type(v) is int for v in sequence)
+    ):
+        raise ParseError("certificate canonical_sequence must be a list of integers")
     return record

@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -117,13 +116,12 @@ def _bfs(adjacency: Sequence[Sequence[int]], source: int) -> list[int]:
     """Distances from ``source``; UNREACHED in other components."""
     dist = [UNREACHED] * len(adjacency)
     dist[source] = 0
-    queue = deque((source,))
-    while queue:
-        v = queue.popleft()
-        d = dist[v]
+    queue = [source]
+    for v in queue:  # the list grows as the search reaches vertices
+        d = dist[v] + 1
         for u in adjacency[v]:
             if dist[u] == UNREACHED:
-                dist[u] = d + 1
+                dist[u] = d
                 queue.append(u)
     return dist
 

@@ -135,18 +135,24 @@ def solve_d3p_bruteforce(
 # -- spiders ----------------------------------------------------------------
 
 
+def _spider_order(s: int, r: int) -> int:
+    """Vertices of ``gen_spider(s, r)``."""
+    return 1 + s * r
+
+
 def gen_spider(s: int, r: int) -> Graph:
     """A head of degree s with s arms of r vertices each."""
     if s < 1 or r < 0:
         raise RejectedInputError("spider needs s >= 1 arms of length r >= 0")
-    edges = []
-    for arm in range(s):
-        base = 1 + arm * r
-        previous = 0
-        for offset in range(r):
-            edges.append((previous, base + offset))
-            previous = base + offset
-    return from_edge_list(1 + s * r, edges)
+    # arms are numbered on from 1, r vertices each, and the first vertex of
+    # an arm hangs off the head: no step is spent on an arm of length 0
+    edges = [(v - 1 if (v - 1) % r else 0, v) for v in range(1, _spider_order(s, r))]
+    return from_edge_list(_spider_order(s, r), edges)
+
+
+def _spider_forest_order(degrees: Sequence[int]) -> int:
+    """Vertices of ``gen_spider_forest(degrees)``."""
+    return sum(_spider_order(d, i - 1) for i, d in enumerate(degrees, start=1))
 
 
 def gen_spider_forest(degrees: Sequence[int]) -> Graph:
@@ -249,6 +255,12 @@ def _canonical_middles(
 # -- caterpillar interval gadget --------------------------------------------
 
 
+def _ig_order(m: int) -> int:
+    """Vertices of ``gen_ig_gadget`` on an instance of largest element m: the
+    spine, then one pendant per interior vertex of the m+1 combs."""
+    return (2 * m + 1) ** 2 + (m + 1) * (3 * m - 1)
+
+
 def gen_ig_gadget(inst: D3PInstance, solution=None) -> GadgetCertificate:
     """Caterpillar whose spine is a path of order (2m+1)^2 with combs.
 
@@ -340,6 +352,11 @@ def _permutation_block(x: int, y: int) -> list[int]:
     return [x + (offset if offset < t else missing) for offset in offsets]
 
 
+def _pg_order(m: int) -> int:
+    """Vertices of ``gen_pg_gadget`` on an instance of largest element m."""
+    return m * m
+
+
 def gen_pg_gadget(
     inst: D3PInstance, solution=None
 ) -> tuple[PermutationPair, GadgetCertificate]:
@@ -355,7 +372,7 @@ def gen_pg_gadget(
     for order in _forest_orders(inst):
         bounds.append((end + 1, end + order))
         end += order
-    assert end == m * m
+    assert end == _pg_order(m)
 
     perm: list[int] = []
     for x, y in bounds:
@@ -396,6 +413,12 @@ def gen_pg_gadget(
 
 
 # -- disk gadget -------------------------------------------------------------
+
+
+def _dk_order(m: int, q: int) -> int:
+    """Vertices of ``gen_dk_gadget`` with ring size q on an instance of
+    largest element m: the hub, q arms of m disks, and the m^2 path vertices."""
+    return 1 + q * m + m * m
 
 
 def gen_dk_gadget(
@@ -459,7 +482,8 @@ def gen_dk_gadget(
 
     arrangement = DiskArrangement(tuple(disks))
     graph = disk_graph(arrangement)
-    if graph != from_edge_list(next_id, intended_edges):
+    # intended edges are distinct (u, v) pairs with u < v, as edges() lists them
+    if graph.edges() != sorted(intended_edges):
         raise RejectedInputError("disk placement failed to realize the intended adjacency")
 
     canonical = None

@@ -424,6 +424,39 @@ class TestUnreadableAndUnwritableFiles:
         assert run_cli("gen", kind, *at, "--out", str(tmp_path / "at"))[0] == 0
         assert run_cli("burn", "--engine", "approx3", str(tmp_path / "at.edges"))[0] == 0
 
+    @pytest.mark.parametrize(
+        "kind, options, n",
+        [
+            ("spider", ["--s", "2", "--r", "2"], 5),
+            ("spider-forest", ["--degrees", "2,3"], 5),
+            ("path", ["--n", "5"], 5),
+            ("cycle", ["--n", "5"], 5),
+            ("random", ["--n", "5"], 5),
+            ("intervals", ["--n", "5"], 5),
+            ("permutation", ["--k", "5"], 5),
+            ("ig-gadget", ["--x", "4,5,6"], 288),
+            ("pg-gadget", ["--x", "4,5,6"], 36),
+            ("dk-gadget", ["--x", "4,5,6", "--q", "14"], 121),
+            # validating this instance would allocate the odd numbers below 2 * 10**9
+            ("pg-gadget", ["--x", "999999999,1000000000,1000000001"], (10**9 + 1) ** 2),
+        ],
+    )
+    def test_gen_checks_the_cap_before_building(self, kind, options, n, monkeypatch, tmp_path, capsys):
+        from burnkit import cli, formats
+
+        def refuse(*args):
+            raise AssertionError(f"{kind} built a graph past the vertex cap")
+
+        order, _ = cli._GEN_KINDS[kind]
+        monkeypatch.setitem(cli._GEN_KINDS, kind, (order, refuse))
+        monkeypatch.setattr(formats, "_VERTEX_CAP", n - 1)
+        self.assert_exit_3(
+            ["gen", kind, *options, "--out", str(tmp_path / "past")],
+            capsys,
+            f"graph has {n} vertices, exceeding the vertex cap of {n - 1}",
+        )
+        assert list(tmp_path.iterdir()) == []
+
     def test_output_directory_is_a_file(self, tmp_path, capsys):
         (tmp_path / "plain").write_text("")
         prefix = tmp_path / "plain" / "x"
@@ -536,6 +569,16 @@ class TestBench:
     def test_unknown_engine_is_a_parse_error(self, capsys):
         code, _ = run_cli("bench", "--sizes", "9", "--engines", "path,fastest")
         assert code == 3 and "unknown bench engine 'fastest'" in capsys.readouterr().err
+
+    def test_sizes_past_the_vertex_cap_build_nothing(self, monkeypatch, capsys):
+        from burnkit import cli, formats
+
+        monkeypatch.setattr(formats, "_VERTEX_CAP", 4)
+        assert run_cli("bench", "--sizes", "4")[0] == 0
+        monkeypatch.setitem(cli._BENCH_KINDS, "path", None)
+        code, out = run_cli("bench", "--sizes", "4,5,9")
+        assert (code, out) == (3, "")
+        assert "graph has 5 vertices, exceeding the vertex cap of 4" in capsys.readouterr().err
 
     def test_degenerate_size_fails_as_burn_does(self, capsys):
         assert run_cli("bench", "--kind", "cycle", "--sizes", "2", "--engines", "path")[0] == 5

@@ -258,7 +258,7 @@ def test_exact_search_ranks_only_nodes_that_pass_the_capacity_prune(legs, monkey
     def checked_candidates(search, chosen, covered):
         ranked = candidates(search, chosen, covered)
         uncovered = (search.full & ~covered).bit_count()
-        sizes = search.max_ball[: search.k - len(chosen)]
+        sizes = [max(row) for row in search.sizes[: search.k - len(chosen)]]
         best_gain = -ranked[0][0] if ranked else 0
         assert uncovered <= sum(sizes)
         assert not uncovered or uncovered <= sum(min(best_gain, size) for size in sizes)

@@ -24,6 +24,7 @@ from burnkit import (
     validate_d3p,
     verify,
 )
+from burnkit import hardness
 from burnkit.hardness import _permutation_block
 
 DESK_X = [4, 5, 6]
@@ -133,6 +134,10 @@ class TestSpiders:
         g = gen_spider(3, 4)
         assert g.n == 13
         assert g.degree(0) == 3
+
+    def test_arms_of_length_zero_cost_nothing(self):
+        assert gen_spider(10**30, 0).n == 1
+        assert gen_spider_forest([10**30]).n == 1
 
     def test_balanced_spiders_burning_number(self):
         for r in (1, 2, 3):
@@ -359,3 +364,21 @@ class TestDkGadget:
         search = _Search(cert.graph, 6, None)
         assert search.run((), 0) is None  # six rounds can never finish
 
+
+class TestVertexCounts:
+    """The counts ``gen`` checks against the vertex cap before it builds."""
+
+    def test_spiders(self):
+        for s, r in [(1, 0), (3, 4), (5, 2)]:
+            assert gen_spider(s, r).n == hardness._spider_order(s, r)
+        for degrees in ([2], [2, 3, 4], [5, 3, 6]):
+            assert gen_spider_forest(degrees).n == hardness._spider_forest_order(degrees)
+
+    @pytest.mark.parametrize("x", [DESK_X, [5, 6, 8], FULL_X], ids=str)
+    def test_gadgets(self, x):
+        inst = validate_d3p(x)
+        m, p = inst.m, inst.m - 1
+        assert gen_ig_gadget(inst).graph.n == hardness._ig_order(m)
+        assert gen_pg_gadget(inst)[1].graph.n == hardness._pg_order(m)
+        for q in (2 * (p + 2), 3 * p):  # both ends of the feasible ring sizes
+            assert gen_dk_gadget(inst, q)[1].graph.n == hardness._dk_order(m, q)

@@ -127,15 +127,17 @@ class _Search:
     legal set is the complement of one OR of table entries.
 
     Every uncovered vertex u is a legal source that covers itself, since
-    d(u, x_t) > k - t - 1 >= d - t - 1, so the best gain is >= 1.  The one prune
-    is capacity: the uncovered count exceeds the remaining balls' sizes, first
-    uncapped, then capped by the best gain (balls shrink, legality tightens).
-    A node checks them in that order.  The uncapped sum is one table lookup.
-    The capped sum needs the best gain only to compare it with the least
-    gain that could still cover the uncovered vertices, so a threshold scan
-    decides it: the legal vertices in falling ball size, until one reaches
-    that gain, or the ball sizes, which bound every gain, drop below it.
-    Only a node that passes both checks ranks its candidates.
+    d(u, x_t) > k - t - 1 >= d - t - 1, so the best gain is >= 1.  An illegal
+    v gains nothing: d(v, x_t) <= d - t - 1 puts its ball of radius k - d - 1
+    inside the covered ball(x_t, k - t - 1).  The one prune is capacity: the
+    uncovered count exceeds the remaining balls' sizes, first uncapped, then
+    capped by the best gain.  The uncapped sum is one table lookup.  The
+    capped sum needs the best gain only to compare it with ``need``, the least
+    gain that could still cover the uncovered vertices, which is >= 1; so a
+    threshold scan of all balls by falling size decides it from coverage
+    alone, until one reaches ``need`` or the sizes, which bound every gain,
+    drop below it.  Only a node that passes both builds the legal set and
+    ranks its candidates.
     """
 
     def __init__(self, G: Graph, k: int, budget: int | None):
@@ -155,30 +157,25 @@ class _Search:
         for top in map(max, self.sizes):
             below = [below[min(g, len(below) - 1)] + g for g in range(top + 1)]
             self.capacity.append(below)
-        self.by_size: list[list[tuple[int, int, int]] | None] = [None] * k
+        self.by_size: list[list[tuple[int, int]] | None] = [None] * k
 
-    def _largest_first(self, radius: int) -> list[tuple[int, int, int]]:
-        """``(|ball|, v, ball)`` of every radius-``radius`` ball, largest first,
+    def _largest_first(self, radius: int) -> list[tuple[int, int]]:
+        """``(|ball|, ball)`` of every radius-``radius`` ball, largest first,
         sorted on first use: a search that stops early sorts few radii."""
         order = self.by_size[radius]
         if order is None:
-            entries = zip(self.sizes[radius], range(self.n), self.balls[radius])
+            entries = zip(self.sizes[radius], self.balls[radius])
             order = self.by_size[radius] = sorted(entries, key=itemgetter(0), reverse=True)
         return order
 
-    def _burned(self, chosen: tuple[int, ...]) -> int:
-        """The vertices no source at depth ``len(chosen)`` may take."""
-        depth = len(chosen)
-        burned = 0
-        for t, x in enumerate(chosen):
-            burned |= self.balls[depth - t - 1][x]
-        return burned
-
     def _candidates(self, chosen: tuple[int, ...], covered: int) -> list[tuple[int, int]]:
         """The legal next sources as ``(-gain, v)``, best first."""
-        burned = self._burned(chosen)
+        depth = len(chosen)
+        burned = 0  # the vertices no source at this depth may take
+        for t, x in enumerate(chosen):
+            burned |= self.balls[depth - t - 1][x]
         uncovered = self.full & ~covered
-        balls = self.balls[self.k - len(chosen) - 1]
+        balls = self.balls[self.k - depth - 1]
         return sorted(
             (-(balls[v] & uncovered).bit_count(), v)
             for v in range(self.n)
@@ -203,11 +200,10 @@ class _Search:
         if uncovered_count:
             # the least best gain whose capped capacity still covers them all
             need = bisect_left(self.capacity[radius], uncovered_count)
-            burned = self._burned(chosen)
-            for size, v, ball in self._largest_first(radius):
+            for size, ball in self._largest_first(radius):
                 if size < need:
                     return None
-                if not burned >> v & 1 and (ball & uncovered).bit_count() >= need:
+                if (ball & uncovered).bit_count() >= need:
                     break
             else:
                 return None
@@ -238,10 +234,11 @@ def burning_number_exact(
     is a legal next source when it lies outside ball(x_t, depth - t - 1) for
     every earlier source x_t.  A node checks the capacity prune before it
     ranks anything: first the reachable sum (the uncovered count against the
-    remaining balls' largest sizes), then a threshold scan of the legal
-    vertices by falling ball size for one whose gain is at least the least
-    best gain that can still cover the uncovered vertices.  Only a node that
-    survives both sorts its candidates by gain.  One node budget covers every
+    remaining balls' largest sizes), then a threshold scan of the balls by
+    falling size for one whose gain is at least the least best gain that can
+    still cover the uncovered vertices; an illegal vertex's ball is already
+    covered, so legality never enters the scan.  Only a node that survives
+    both sorts its legal candidates by gain.  One node budget covers every
     depth, so ``nodes_explored`` never exceeds it: a search that needs more
     raises NodeBudgetError.  A negative budget is rejected.  ``workers`` must
     be at least 1 and is otherwise ignored: the search is pure Python, so

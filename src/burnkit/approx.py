@@ -30,7 +30,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import RejectedInputError
-from .graph import UNREACHED, Graph, _bfs
+from .graph import UNREACHED, Graph, _bfs, _check_vertices
 
 
 @dataclass(frozen=True)
@@ -110,9 +110,7 @@ def next_fire_source(G: Graph, k: int, S) -> list[int]:
         raise RejectedInputError(f"expected a prefix of length {k - 1}, got {len(prefix)}")
     if k < 2:
         raise RejectedInputError("the first source is chosen freely, not by ratio")
-    for x in prefix:
-        if not 0 <= x < G.n:
-            raise RejectedInputError(f"prefix vertex {x} out of range")
+    _check_vertices(G, prefix, "prefix vertex")
     frontier = _Frontier(G.adjacency)
     for x in prefix:
         frontier.add(x)
@@ -136,8 +134,7 @@ def burn_3approx(G: Graph, x1: int | None = None) -> ApproxResult:
     if G.n == 0:
         raise RejectedInputError("cannot burn the empty graph")
     start = 0 if x1 is None else x1
-    if not 0 <= start < G.n:
-        raise RejectedInputError(f"start vertex {start} out of range")
+    _check_vertices(G, (start,), "start vertex")
     sequence = [start]
     frontier = _Frontier(G.adjacency)
     frontier.add(start)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidSequenceError, RejectedInputError
-from .graph import Graph, _ball
+from .graph import Graph, _ball, _check_vertices
 
 
 @dataclass(frozen=True)
@@ -39,9 +39,7 @@ def _check_sequence(G: Graph, sequence) -> tuple[int, ...]:
     S = tuple(sequence)
     if not S:
         raise RejectedInputError("burning sequence must be nonempty")
-    for v in S:
-        if not 0 <= v < G.n:
-            raise RejectedInputError(f"sequence vertex {v} out of range")
+    _check_vertices(G, S, "sequence vertex")
     return S
 
 

@@ -242,19 +242,23 @@ def _path_order(adjacency: Sequence[Sequence[int]], members: Iterable[int]) -> l
     return order if len(order) == len(members) else None
 
 
+def _check_vertices(G: Graph, vertices: Iterable[int], what: str) -> None:
+    """RejectedInputError "``what`` v out of range" for the first v not in 0..n-1."""
+    for v in vertices:
+        if not 0 <= v < G.n:
+            raise RejectedInputError(f"{what} {v} out of range")
+
+
 def bfs_distances(G: Graph, source: int) -> list[int | float]:
     """Shortest-path distances from ``source``; unreachable vertices get ``math.inf``."""
-    if not 0 <= source < G.n:
-        raise RejectedInputError(f"source {source} out of range")
+    _check_vertices(G, (source,), "source")
     return [math.inf if d == UNREACHED else d for d in _bfs(G.adjacency, source)]
 
 
 def neighborhood(G: Graph, X: Iterable[int], i: int) -> set[int]:
     """Closed neighborhood at distance ``i``: every vertex within ``i`` hops of ``X``."""
     members = set(X)
-    for v in members:
-        if not 0 <= v < G.n:
-            raise RejectedInputError(f"vertex {v} out of range")
+    _check_vertices(G, members, "vertex")
     if i < 0:
         raise RejectedInputError("radius must be nonnegative")
     return set(_ball(G.adjacency, members, i))

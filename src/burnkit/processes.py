@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import RejectedInputError, VertexCapError
-from .graph import Graph
+from .graph import Graph, _check_vertices
 
 
 @dataclass(frozen=True)
@@ -45,12 +45,9 @@ def verify_firefighter(G: Graph, s: int, placements) -> FirefightRun:
     fire to unprotected neighbors of burned vertices.  The run stops once a
     round spreads nothing; leftover placements are never consumed.
     """
-    if not 0 <= s < G.n:
-        raise RejectedInputError(f"fire origin {s} out of range")
+    _check_vertices(G, (s,), "fire origin")
     S = tuple(placements)
-    for v in S:
-        if not 0 <= v < G.n:
-            raise RejectedInputError(f"placement vertex {v} out of range")
+    _check_vertices(G, S, "placement vertex")
     burned = {s}
     protected: set[int] = set()
     steps = [frozenset(burned)]
@@ -111,8 +108,7 @@ def _search_strategies(G: Graph, s: int, max_placements: int) -> FirefightRun:
 
 def firefight_bruteforce(G: Graph, s: int, cap: int = 9) -> FirefightRun:
     """Optimal firefighting by exhaustive strategy search (tiny graphs only)."""
-    if not 0 <= s < G.n:
-        raise RejectedInputError(f"fire origin {s} out of range")
+    _check_vertices(G, (s,), "fire origin")
     if G.n > cap:
         raise VertexCapError(G.n, cap)
     return _search_strategies(G, s, max_placements=G.n)
@@ -124,8 +120,7 @@ def firefight_pk_free(G: Graph, s: int, k: int) -> FirefightRun:
     Such graphs never need more than k-2 placements, so the bounded search
     is polynomial for fixed k.  The caller asserts the structural property.
     """
-    if not 0 <= s < G.n:
-        raise RejectedInputError(f"fire origin {s} out of range")
+    _check_vertices(G, (s,), "fire origin")
     if k < 2:
         raise RejectedInputError("path bound k must be at least 2")
     return _search_strategies(G, s, max_placements=k - 2)
@@ -151,9 +146,7 @@ def bootstrap_percolate(G: Graph, A, r: int) -> PercolationRun:
     neighbors count toward r.
     """
     seed = frozenset(A)
-    for v in seed:
-        if not 0 <= v < G.n:
-            raise RejectedInputError(f"seed vertex {v} out of range")
+    _check_vertices(G, seed, "seed vertex")
     if r < 2:
         raise RejectedInputError("infection threshold must be at least 2")
     timeline = [seed]

@@ -148,5 +148,6 @@ def burn_3approx(G: Graph, x1: int | None = None) -> ApproxResult:
         sequence.append(vertex)
         frontier.add(vertex)
     k = len(sequence)
-    implied_lower = max(-(-k // 3), trace[-1][2] if trace else 1)
+    # the last failing prefix, of length k - 1, certifies ceil((k-1)/3) + 1 >= ceil(k/3)
+    implied_lower = trace[-1][2] if trace else 1
     return ApproxResult(tuple(sequence), k, implied_lower, tuple(trace))

@@ -37,6 +37,7 @@ from .errors import (
 )
 from .graph import (
     Graph,
+    _check_vertices,
     _path_order,
     from_edge_list,
     interval_graph,
@@ -205,10 +206,43 @@ def cmd_burn(args) -> int:
 # -- verify --------------------------------------------------------------------
 
 
+def _check_certificate(G: Graph, record: dict) -> None:
+    """RejectedInputError unless a loaded certificate describes G: the same n
+    and m, a canonical sequence (if any) of ``claimed_k`` sources, and
+    decomposition segments that are disjoint paths of G, listed end to end."""
+    if (record["n"], record["m"]) != (G.n, G.edge_count):
+        raise RejectedInputError(
+            f"certificate has n={record['n']}, m={record['m']}, "
+            f"but the graph has n={G.n}, m={G.edge_count}"
+        )
+    sequence = record.get("canonical_sequence")
+    if sequence is not None and len(sequence) != record["claimed_k"]:
+        raise RejectedInputError(
+            f"certificate canonical_sequence has {len(sequence)} sources, "
+            f"but claimed_k is {record['claimed_k']}"
+        )
+    listed: set[int] = set()
+    for segment in record["decomposition"]:
+        label, vertices = segment["label"], segment["vertices"]
+        if not vertices:
+            raise RejectedInputError(f"certificate segment {label} is empty")
+        _check_vertices(G, vertices, f"certificate segment {label} vertex")
+        for previous, v in zip([None, *vertices], vertices):
+            if v in listed:
+                raise RejectedInputError(f"certificate decomposition lists vertex {v} twice")
+            if previous is not None and v not in G.adjacency[previous]:
+                raise RejectedInputError(
+                    f"certificate segment {label} is not a path of the graph: "
+                    f"no edge ({previous}, {v})"
+                )
+            listed.add(v)
+
+
 def cmd_verify(args) -> int:
     G = _load_graph(args.input, args.format)
     if args.certificate is not None:
         record_in = formats.load_certificate_record(_read(args.certificate))
+        _check_certificate(G, record_in)
         sequence = record_in.get("canonical_sequence")
         if sequence is None:
             raise RejectedInputError("certificate carries no canonical sequence")

@@ -284,7 +284,9 @@ def certificate_record(cert: GadgetCertificate) -> dict:
 
 def load_certificate_record(text: str) -> dict:
     """The certificate JSON as a dict with ``claimed_k``, whose
-    ``canonical_sequence``, if not null, is a list of ints; else ParseError."""
+    ``canonical_sequence``, if not null, is a list of ints, whose ``n`` and
+    ``m`` are ints, and whose ``decomposition`` is a list of
+    ``{"label": str, "vertices": [int]}``; else ParseError."""
     try:
         record = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -297,4 +299,18 @@ def load_certificate_record(text: str) -> dict:
         isinstance(sequence, list) and all(type(v) is int for v in sequence)
     ):
         raise ParseError("certificate canonical_sequence must be a list of integers")
+    if not (type(record.get("n")) is int and type(record.get("m")) is int):
+        raise ParseError("certificate n and m must be integers")
+    decomposition = record.get("decomposition")
+    if not (isinstance(decomposition, list) and all(_is_segment(s) for s in decomposition)):
+        raise ParseError("certificate decomposition must be a list of {label, vertices: [int]}")
     return record
+
+
+def _is_segment(segment) -> bool:
+    return (
+        isinstance(segment, dict)
+        and isinstance(segment.get("label"), str)
+        and isinstance(segment.get("vertices"), list)
+        and all(type(v) is int for v in segment["vertices"])
+    )

@@ -241,6 +241,98 @@ class TestVerifyCommand:
         assert code == 0 and json.loads(out)["valid"]
 
 
+    @pytest.fixture
+    def pg456(self, tmp_path):
+        """The pg gadget for x=4,5,6: (edge-list path, certificate dict)."""
+        prefix = tmp_path / "gadget"
+        assert run_cli("gen", "pg-gadget", "--x", "4,5,6", "--out", str(prefix))[0] == 0
+        return str(prefix) + ".edges", json.loads(Path(str(prefix) + ".cert.json").read_text())
+
+    def assert_certificate_exit(self, code_wanted, graph, cert, tmp_path, capsys, message):
+        path = tmp_path / "edited.cert.json"
+        path.write_text(json.dumps(cert))
+        code, out = run_cli("verify", "--certificate", str(path), graph)
+        assert (code, out) == (code_wanted, "")
+        assert capsys.readouterr().err.endswith(message + "\n")
+
+    def test_certificate_for_another_graph(self, pg456, tmp_path, capsys):
+        edges, cert = pg456
+        lines = Path(edges).read_text().splitlines()
+        n, m = map(int, lines[0].split())
+        extra = tmp_path / "extra.edges"
+        extra.write_text("\n".join([f"{n} {m + 1}", "0 1", *lines[1:]]) + "\n")
+        self.assert_certificate_exit(
+            5, str(extra), cert, tmp_path, capsys,
+            "certificate has n=36, m=32, but the graph has n=36, m=33",
+        )
+
+    def test_segment_that_is_not_a_path(self, pg456, tmp_path, capsys):
+        edges, cert = pg456
+        first = cert["decomposition"][0]
+        assert first["vertices"][:3] == [0, 2, 1]
+        first["vertices"][1:3] = [1, 2]
+        self.assert_certificate_exit(
+            5, edges, cert, tmp_path, capsys,
+            "certificate segment Q1 is not a path of the graph: no edge (0, 1)",
+        )
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda c: c.update(claimed_k=5),
+                "certificate canonical_sequence has 6 sources, but claimed_k is 5",
+            ),
+            (
+                lambda c: c["decomposition"][2]["vertices"].insert(0, 30),
+                "certificate decomposition lists vertex 30 twice",
+            ),
+            (
+                lambda c: c["decomposition"][3]["vertices"].append(35),
+                "certificate decomposition lists vertex 35 twice",
+            ),
+            (
+                lambda c: c["decomposition"][3].update(vertices=[36]),
+                "certificate segment Q4 vertex 36 out of range",
+            ),
+            (
+                lambda c: c["decomposition"][3].update(vertices=[]),
+                "certificate segment Q4 is empty",
+            ),
+        ],
+        ids=["claimed-k", "overlap", "repeat", "range", "empty"],
+    )
+    def test_certificate_mismatch_exits_5(self, pg456, tmp_path, capsys, edit, message):
+        edges, cert = pg456
+        edit(cert)
+        self.assert_certificate_exit(5, edges, cert, tmp_path, capsys, message)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda c: c.pop("n"), "certificate n and m must be integers"),
+            (lambda c: c.update(m="32"), "certificate n and m must be integers"),
+            (lambda c: c.update(n=True), "certificate n and m must be integers"),
+            (
+                lambda c: c.update(decomposition=None),
+                "certificate decomposition must be a list of {label, vertices: [int]}",
+            ),
+            (
+                lambda c: c["decomposition"][0].pop("label"),
+                "certificate decomposition must be a list of {label, vertices: [int]}",
+            ),
+            (
+                lambda c: c["decomposition"][0].update(vertices=[0, 2.0]),
+                "certificate decomposition must be a list of {label, vertices: [int]}",
+            ),
+        ],
+        ids=["no-n", "string-m", "bool-n", "null", "no-label", "float-vertex"],
+    )
+    def test_malformed_certificate_exits_3(self, pg456, tmp_path, capsys, edit, message):
+        edges, cert = pg456
+        edit(cert)
+        self.assert_certificate_exit(3, edges, cert, tmp_path, capsys, message)
+
     def test_missing_certificate_file(self, p9, tmp_path, capsys):
         missing = str(tmp_path / "absent.cert.json")
         code, out = run_cli("verify", "--certificate", missing, p9)

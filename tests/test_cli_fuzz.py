@@ -72,7 +72,19 @@ header at and past the cap, and garbage, as ``str`` or raw ``bytes``."""
 
 CERTIFICATES = st.one_of(
     st.fixed_dictionaries(
-        {"claimed_k": st.integers(0, 3)},
+        {
+            "claimed_k": st.integers(0, 3),
+            # n, m and the decomposition are almost always well formed, so
+            # that drawn certificates reach the checks against the graph
+            "n": _mostly(st.integers(0, CAP), st.none()),
+            "m": _mostly(st.integers(0, 9), st.none()),
+            "decomposition": st.lists(
+                st.fixed_dictionaries(
+                    {"label": st.just("Q1"), "vertices": st.lists(st.integers(-1, 8), max_size=4)}
+                ),
+                max_size=3,
+            ),
+        },
         optional={
             "canonical_sequence": st.one_of(
                 st.none(),

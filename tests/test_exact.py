@@ -4,6 +4,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from burnkit import (
     NodeBudgetError,
@@ -233,6 +234,30 @@ class TestMatchesRankingReference:
     def test_small_graphs(self, case):
         n, edges = case
         _assert_matches_reference(from_edge_list(n, edges))
+
+
+class TestCoveringLemma:
+    """What lets the threshold scan ignore legality: a vertex that is no
+    legal source after a prefix x_1..x_d lies in some ball(x_t, d - t - 1),
+    so its ball of radius k - d - 1 lies inside ball(x_t, k - t - 1), which
+    the prefix already covers, and it gains nothing."""
+
+    @given(small_edge_lists, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_illegal_sources_gain_nothing(self, case, data):
+        n, edges = case
+        g = from_edge_list(n, edges)
+        for k in range(1, n + 1):
+            masks = _ball_masks(g, k)
+            prefix = data.draw(st.lists(st.integers(0, n - 1), max_size=k - 1), label=f"prefix {k}")
+            d = len(prefix)
+            burned = covered = 0
+            for t, x in enumerate(prefix):
+                burned |= masks[d - t - 1][x]
+                covered |= masks[k - t - 1][x]
+            for v in range(n):
+                if burned >> v & 1:
+                    assert masks[k - d - 1][v] & ~covered == 0, (edges, k, prefix, v)
 
 
 class TestLowerBound:

@@ -1,7 +1,8 @@
 """The exact text of the toolkit's precondition and parse messages.
 
 Each case pins one raise, or one verdict branch, that no other test reaches,
-plus the text of every vertex-range message.  The messages are part of the
+plus the text of every vertex-range message (``tests/test_approx.py`` pins
+the prefix one).  The messages are part of the
 CLI's output, so a refactor that moves a check must keep its words.
 """
 
@@ -52,7 +53,6 @@ def _raises(error, message, call, *args, **kwargs):
 RANGE_CASES = [
     ("sequence vertex 5 out of range", simulate, P3, (0, 5)),
     ("sequence vertex -1 out of range", simulate, P3, (-1,)),
-    ("prefix vertex 3 out of range", next_fire_source, P3, 2, [3]),
     ("start vertex 3 out of range", burn_3approx, P3, 3),
     ("start vertex -1 out of range", burn_3approx, P3, -1),
     ("source 3 out of range", bfs_distances, P3, 3),

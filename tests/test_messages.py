@@ -2,8 +2,8 @@
 
 Each case pins one raise, or one verdict branch, that no other test reaches,
 plus the text of every vertex-range message (``tests/test_approx.py`` pins
-the prefix one).  The messages are part of the
-CLI's output, so a refactor that moves a check must keep its words.
+the prefix one).  The messages are part of the CLI's output, so a refactor
+that moves a check must keep its words.
 """
 
 from __future__ import annotations

@@ -219,6 +219,95 @@ class _Search:
         return None
 
 
+class _ForestCover:
+    """Decides on a forest whether balls of radii k - 1, ..., 0, one each, cover
+    V, which holds exactly when b(G) <= k (Bonato, Janssen & Roshanbin 2016).
+
+    Each component is rooted at its smallest vertex, and bit i of a mask is the
+    i-th vertex in order of depth, so the deepest uncovered vertex u is the
+    highest set bit.  Every uncovered vertex that some radius-r ball around u
+    covers lies in ball(a, r), where a is u's ancestor at distance r, or the
+    root when u is shallower (the exchange argument for tree centres, Kariv &
+    Hakimi 1979).  So a node branches only on which remaining radius covers u.
+    Three rules prune: packing (uncovered vertices picked deepest first, each
+    more than 2·r_max from the earlier picks, need a ball each), dominance (a
+    radius that leaves what a smaller one leaves is skipped) and a memo of
+    failed (uncovered, radii) states.  Ball masks are built on first use.
+    """
+
+    def __init__(self, G: Graph, budget: int | None):
+        self.adjacency = G.adjacency
+        self.budget = budget
+        self.nodes = 0
+        self.parent = [-1] * G.n
+        self.depth = [0] * G.n
+        order = []
+        for comp in components(G):
+            reached = [min(comp)]
+            for v in reached:  # the list grows as the walk reaches vertices
+                for u in self.adjacency[v]:
+                    if u != self.parent[v]:
+                        self.parent[u] = v
+                        self.depth[u] = self.depth[v] + 1
+                        reached.append(u)
+            order += reached
+        self.vertex = sorted(order, key=self.depth.__getitem__)  # bit -> vertex
+        self.bit = [0] * G.n
+        for i, v in enumerate(self.vertex):
+            self.bit[v] = i
+        self.full = (1 << G.n) - 1
+        self.masks: dict[tuple[int, int], int] = {}
+        self.failed: set[tuple[int, int]] = set()
+
+    def _ball(self, centre: int, radius: int) -> int:
+        mask = self.masks.get((centre, radius))
+        if mask is None:
+            bit = self.bit
+            mask = 0
+            for v in _ball(self.adjacency, (centre,), radius):
+                mask |= 1 << bit[v]
+            self.masks[centre, radius] = mask
+        return mask
+
+    def _packs(self, uncovered: int, radii: int) -> bool:
+        """More uncovered vertices lie pairwise beyond 2·r_max than radii remain."""
+        reach = 2 * (radii.bit_length() - 1)
+        left = radii.bit_count()
+        while uncovered:
+            if not left:
+                return True
+            left -= 1
+            uncovered &= ~self._ball(self.vertex[uncovered.bit_length() - 1], reach)
+        return False
+
+    def _covers(self, uncovered: int, radii: int) -> bool:
+        if not uncovered:
+            return True
+        if (uncovered, radii) in self.failed or self._packs(uncovered, radii):
+            return False
+        u = self.vertex[uncovered.bit_length() - 1]
+        rests: dict[int, int] = {}  # what each radius leaves -> the smallest such radius
+        centre, climbed = u, 0
+        for r in range(radii.bit_length()):
+            if radii >> r & 1:
+                while climbed < r and self.parent[centre] >= 0:
+                    centre, climbed = self.parent[centre], climbed + 1
+                rests.setdefault(uncovered & ~self._ball(centre, r), r)
+        for rest, r in reversed(rests.items()):
+            if self.nodes == self.budget:  # never true for a budget of None
+                raise _OutOfBudget
+            self.nodes += 1
+            if self._covers(rest, radii & ~(1 << r)):
+                return True
+        self.failed.add((uncovered, radii))
+        return False
+
+    def covers(self, k: int) -> bool:
+        """Balls of radii k - 1, ..., 0 cover the forest; each node entered adds
+        one to ``nodes``, and one more than ``budget`` raises ``_OutOfBudget``."""
+        return self._covers(self.full, (1 << k) - 1)
+
+
 def burning_number_exact(
     G: Graph,
     *,
@@ -238,9 +327,19 @@ def burning_number_exact(
     falling size for one whose gain is at least the least best gain that can
     still cover the uncovered vertices; an illegal vertex's ball is already
     covered, so legality never enters the scan.  Only a node that survives
-    both sorts its legal candidates by gain.  One node budget covers every
-    depth, so ``nodes_explored`` never exceeds it: a search that needs more
-    raises NodeBudgetError.  A negative budget is rejected.  ``workers`` must
+    both sorts its legal candidates by gain.
+
+    On a forest (|E| = n minus the component count) a refuter first asks, at
+    each depth k, whether balls of radii k - 1, ..., 0 can cover the graph,
+    branching only on which radius covers the deepest uncovered vertex (see
+    ``_ForestCover``).  A depth it refutes is skipped; at the first one it
+    does not, the search above runs unchanged, so k and the witness are the
+    ones it finds without the refuter.  Its nodes count in ``nodes_explored``.
+
+    One node budget covers every depth and both searches, so
+    ``nodes_explored`` never exceeds it: a search that needs more raises
+    NodeBudgetError.  A budget of 0 raises it with ``lower_bound(G)`` before
+    anything is built.  A negative budget is rejected.  ``workers`` must
     be at least 1 and is otherwise ignored: the search is pure Python, so
     threads cannot speed it up, and the result and node count never depended
     on it.
@@ -251,10 +350,19 @@ def burning_number_exact(
         raise RejectedInputError("workers must be >= 1")
     if node_budget is not None and node_budget < 0:
         raise RejectedInputError(f"node budget must be >= 0, got {node_budget}")
+    if node_budget == 0:
+        raise NodeBudgetError(0, lower_bound(G), upper_bound_radius(G))
+    forest = G.edge_count == G.n - len(components(G))
+    cover = _ForestCover(G, node_budget) if forest else None
     nodes = 0
     for k in range(lower_bound(G), G.n + 1):
-        search = _Search(G, k, None if node_budget is None else node_budget - nodes)
         try:
+            if cover is not None:
+                feasible = cover.covers(k)
+                nodes = cover.nodes
+                if not feasible:
+                    continue
+            search = _Search(G, k, None if node_budget is None else node_budget - nodes)
             found = search.run((), 0)
         except _OutOfBudget:
             raise NodeBudgetError(node_budget, k, upper_bound_radius(G)) from None

@@ -219,7 +219,10 @@ class _ReferenceSearch:
 
 def reference_exact(G: Graph, node_budget: int | None = None) -> tuple[int, tuple[int, ...], int]:
     """(k, witness sources, nodes explored) of ``burning_number_exact`` by the
-    ranking search above; raises the same ``NodeBudgetError``."""
+    ranking search above; raises the same ``NodeBudgetError``, which a budget
+    of 0 raises at ``lower_bound(G)`` before any search."""
+    if node_budget == 0:
+        raise NodeBudgetError(0, lower_bound(G), upper_bound_radius(G))
     nodes = 0
     for k in range(lower_bound(G), G.n + 1):
         search = _ReferenceSearch(G, k, None if node_budget is None else node_budget - nodes)

@@ -5,7 +5,8 @@ work contract counts ``_bfs`` calls and ``_ball`` vertices: on paths, grids
 and interval gadgets the bounds close after a constant number of BFS runs,
 whatever n, exact search spends no n² work before its node budget and
 ranks candidates only at the few search nodes that pass its capacity prune,
-and approx3 runs one BFS per source.  Every ``burn`` walks its components once
+its forest refuter builds only the balls it uses, and approx3 runs one BFS
+per source.  Every ``burn`` walks its components once
 and computes its bounds through ``exact``'s public names.
 """
 
@@ -240,8 +241,8 @@ def test_exact_search_spends_no_quadratic_work_before_the_budget(bfs_runs):
     n_ball = bfs_runs.ball_vertices
     assert n_runs <= 4
     assert bfs_runs(_exact_at_budget_zero, path_graph(1000)) <= 4
-    # one ball of radius k - 1 ~ sqrt(n) per vertex grows 8x from n to 4n; n² grows 16x
-    assert bfs_runs.ball_vertices <= 10 * n_ball
+    # a budget of 0 enters no node, so it builds no ball table and no refuter
+    assert n_ball == bfs_runs.ball_vertices == 0
 
 
 SEARCH_BUDGET = 2000
@@ -250,6 +251,8 @@ SEARCH_BUDGET = 2000
 
 @pytest.mark.parametrize("legs", [(6, 6), (7, 7)], ids=str)
 def test_exact_search_ranks_only_nodes_that_pass_the_capacity_prune(legs, monkeypatch):
+    # the search is driven at the last depth below the optimum, which the
+    # engine's forest refuter now skips
     # ranking costs a sort over every legal vertex; the prune needs only a
     # threshold scan, and most nodes die at it
     ranked_at = []
@@ -265,10 +268,44 @@ def test_exact_search_ranks_only_nodes_that_pass_the_capacity_prune(legs, monkey
         ranked_at.append(chosen)
         return ranked
 
+    g = gen_spider(*legs)
+    k = burning_number_exact(g).k - 1
     monkeypatch.setattr(exact._Search, "_candidates", checked_candidates)
-    with pytest.raises(NodeBudgetError):  # both spiders exhaust the budget
-        burning_number_exact(gen_spider(*legs), node_budget=SEARCH_BUDGET)
+    with pytest.raises(exact._OutOfBudget):  # both spiders exhaust the budget at k
+        exact._Search(g, k, SEARCH_BUDGET).run((), 0)
     assert ranked_at and len(ranked_at) <= SEARCH_BUDGET // 10
+
+
+def _refute_to_the_optimum(g) -> exact._ForestCover:
+    """The engine's refuter: every depth from the lower bound to the first it
+    does not refute."""
+    cover = exact._ForestCover(g, None)
+    k = exact.lower_bound(g)
+    while not cover.covers(k):
+        k += 1
+    return cover
+
+
+REFUTER_SCALED = {
+    # each family at about n and 4n vertices
+    "path": (path_graph(250), path_graph(1000)),
+    "spider-4": (gen_spider(6, 4), gen_spider(24, 4)),
+    "spider-5": (gen_spider(5, 5), gen_spider(20, 5)),
+}
+
+
+@pytest.mark.parametrize("family", REFUTER_SCALED)
+def test_forest_refuter_builds_only_the_balls_it_uses(family, bfs_runs):
+    # a ball mask is one sparse _ball, built when first used: no table of
+    # every vertex's balls, which would grow 16x from n to 4n
+    work = []
+    for g in REFUTER_SCALED[family]:
+        covers = []
+        bfs_runs(lambda g: covers.append(_refute_to_the_optimum(g)), g)
+        work.append((bfs_runs.ball_vertices, len(covers[0].masks)))
+    (small_ball, small_masks), (large_ball, large_masks) = work
+    assert large_ball <= 10 * small_ball, work
+    assert large_masks <= 10 * small_masks, work
 
 
 def test_cycles_take_one_bfs_per_vertex_at_most(bfs_runs):

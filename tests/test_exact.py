@@ -17,10 +17,13 @@ from burnkit import (
     upper_bound_radius,
     verify,
 )
-from burnkit.exact import _ball_masks, _Search
+from burnkit.exact import _ball_masks, _ForestCover, _OutOfBudget, _Search
+from burnkit.graph import components
 from burnkit.hardness import gen_spider
 
 from helpers import (
+    _ReferenceOutOfBudget,
+    _ReferenceSearch,
     all_optimal_sequences,
     complete_graph,
     fig_example_graph,
@@ -131,14 +134,20 @@ class TestExactSolver:
 
     def test_node_budget_bounds_the_search(self, monkeypatch):
         entered = []
-        run = _Search.run
+        run, covers = _Search.run, _ForestCover._covers
 
         def counting_run(search, chosen, covered):
             if chosen:
                 entered.append(chosen)
             return run(search, chosen, covered)
 
+        def counting_covers(cover, uncovered, radii):
+            if uncovered != cover.full:  # a depth's root, where nothing is covered yet
+                entered.append((uncovered, radii))
+            return covers(cover, uncovered, radii)
+
         monkeypatch.setattr(_Search, "run", counting_run)
+        monkeypatch.setattr(_ForestCover, "_covers", counting_covers)
         rng = random.Random(19)
         graphs = [gen_spider(s, r) for s, r in ((2, 4), (3, 5), (4, 6))]
         graphs += [grid_graph(r, c) for r, c in ((3, 4), (4, 4), (5, 6))]
@@ -201,10 +210,45 @@ def _reference_outcome(g, budget):
         return str(error)
 
 
+def _depth_outcome(search):
+    """``(witness or None, nodes)`` of one depth's search, or
+    ``("out of budget", nodes)``."""
+    try:
+        return search.run((), 0), search.nodes
+    except (_OutOfBudget, _ReferenceOutOfBudget):
+        return "out of budget", search.nodes
+
+
+def _is_forest(g) -> bool:
+    return g.edge_count == g.n - len(components(g))
+
+
 def _assert_matches_reference(g):
-    """Equal (k, witness, nodes) or an equal budget message at budgets 0, 1,
-    N // 2, N and None, where N is the search's own node count; the bounded
-    budgets come first, so a search that prunes a solution fails fast."""
+    """Depth by depth from ``lower_bound(g)``, ``_Search`` and the ranking
+    ``_ReferenceSearch`` give equal outcomes at budgets 0, 1, N // 2, N and
+    None, where N is the reference's node count at that depth; a depth where
+    the reference needs more than REFERENCE_CAP is compared up to the cap and
+    ends the comparison.  Where the reference settles, the engine gives its k
+    and witness.  On a graph with a cycle no refuter runs, so the engine also
+    gives ``reference_exact``'s node count or budget message, at budgets 0,
+    1, N // 2, N and None for the engine's N; the bounded budgets come first,
+    so a search that prunes a solution fails fast."""
+    k = lower_bound(g)
+    while True:
+        witness, nodes = _depth_outcome(_ReferenceSearch(g, k, REFERENCE_CAP))
+        capped = witness == "out of budget"
+        for budget in [0, 1, nodes // 2, nodes] + ([] if capped else [None]):
+            expected = _depth_outcome(_ReferenceSearch(g, k, budget))
+            assert _depth_outcome(_Search(g, k, budget)) == expected, (g.edges(), k, budget)
+        if capped:
+            break
+        if witness is not None:
+            result = burning_number_exact(g)
+            assert (result.k, result.witness.sources) == (k, witness), g.edges()
+            break
+        k += 1
+    if _is_forest(g):
+        return
     full = _reference_outcome(g, REFERENCE_CAP)
     if isinstance(full, str):
         budgets = [0, 1, REFERENCE_CAP // 2, REFERENCE_CAP]
@@ -216,8 +260,10 @@ def _assert_matches_reference(g):
 
 class TestMatchesRankingReference:
     """The threshold scan prunes exactly the nodes that ranking every
-    candidate and reading the best gain pruned, so search order, witnesses,
-    node counts and budget messages stay the same as ``reference_exact``'s."""
+    candidate and reading the best gain pruned, so at every depth the search
+    order, witness, node count and running out stay ``_ReferenceSearch``'s;
+    the engine keeps ``reference_exact``'s k and witness, and off forests,
+    where no refuter runs, its node counts and budget messages too."""
 
     @pytest.mark.parametrize("s", range(1, 8))
     def test_spiders(self, s):
@@ -234,6 +280,70 @@ class TestMatchesRankingReference:
     def test_small_graphs(self, case):
         n, edges = case
         _assert_matches_reference(from_edge_list(n, edges))
+
+
+SLOW_REFERENCE_SPIDERS = {
+    (7, 7): (8, (0, 1, 2, 3, 4, 5, 6, 7)),
+    (7, 8): (8, (0, 2, 11, 20, 29, 38, 47, 56)),
+}
+"""``reference_exact``'s k and witness where it explores 723,167 and 712,520
+nodes (6-12 s each), recorded from it."""
+
+
+def _forests_of_the_atlas():
+    """Every forest of ``networkx.graph_atlas_g()``, up to seven vertices."""
+    nx = pytest.importorskip("networkx")
+    return [
+        from_edge_list(h.number_of_nodes(), h.edges())
+        for h in nx.graph_atlas_g()
+        if h.number_of_nodes() and nx.is_forest(h)
+    ]
+
+
+def _random_forest(rng: random.Random, n: int):
+    """A forest on n shuffled labels: each vertex after the first hangs off an
+    earlier one with probability 0.85, or starts a component."""
+    labels = list(range(n))
+    rng.shuffle(labels)
+    edges = [(labels[rng.randrange(v)], labels[v]) for v in range(1, n) if rng.random() < 0.85]
+    return from_edge_list(n, edges)
+
+
+class TestForestCover:
+    """The forest refuter decides b(G) <= k exactly, so the engine keeps the
+    reference's k and witness on forests while it skips the depths below."""
+
+    def test_feasibility_matches_bruteforce_on_the_atlas(self):
+        forests = _forests_of_the_atlas()
+        assert len(forests) == 1 + 2 + 3 + 6 + 10 + 20 + 37  # forests on 1..7 vertices
+        for g in forests:
+            b = burning_number_bruteforce(g).k
+            deepening = _ForestCover(g, None)  # one refuter for every k, as the engine keeps it
+            for k in range(1, g.n + 1):
+                assert _ForestCover(g, None).covers(k) == (k >= b), (g.edges(), k)
+                assert deepening.covers(k) == (k >= b), (g.edges(), k)
+
+    @pytest.mark.parametrize("s", range(1, 8))
+    def test_spiders_match_the_reference(self, s):
+        for r in range(9):
+            g = gen_spider(s, r)
+            expected = SLOW_REFERENCE_SPIDERS.get((s, r)) or reference_exact(g)[:2]
+            result = burning_number_exact(g)
+            assert (result.k, result.witness.sources) == expected, (s, r)
+
+    def test_random_forests_match_the_reference(self):
+        rng = random.Random(83)
+        for _ in range(300):
+            g = _random_forest(rng, rng.randint(1, 15))
+            k, witness, _ = reference_exact(g)
+            result = burning_number_exact(g)
+            assert (result.k, result.witness.sources) == (k, witness), g.edges()
+
+    def test_bench_spiders_settle_within_their_budget(self):
+        # the exact jobs' spiders, which exhausted 2000 nodes without the refuter
+        for legs in ((4, 10), (5, 8), (6, 6), (6, 7), (7, 7)):
+            result = burning_number_exact(gen_spider(*legs), node_budget=2000)
+            assert result.nodes_explored < 1000, legs
 
 
 class TestCoveringLemma:

@@ -71,10 +71,10 @@ def _cases() -> list[list[str]]:
         ["burn", "--engine", "exact", "sp47.edges"],
         ["burn", "--engine", "exact", "sp55.edges"],
         ["burn", "--engine", "exact", "grid56.edges"],
-        ["burn", "--engine", "exact", "--node-budget", "1606", "sp47.edges"],
-        ["burn", "--engine", "exact", "--node-budget", "1607", "sp47.edges"],
-        ["burn", "--engine", "exact", "--node-budget", "557", "sp55.edges"],
-        ["burn", "--engine", "exact", "--node-budget", "558", "sp55.edges"],
+        ["burn", "--engine", "exact", "--node-budget", "121", "sp47.edges"],
+        ["burn", "--engine", "exact", "--node-budget", "122", "sp47.edges"],
+        ["burn", "--engine", "exact", "--node-budget", "58", "sp55.edges"],
+        ["burn", "--engine", "exact", "--node-budget", "59", "sp55.edges"],
         ["burn", "--engine", "exact", "--node-budget", "63", "grid56.edges"],
         ["burn", "--engine", "exact", "--node-budget", "64", "grid56.edges"],
         ["burn", "--engine", "bruteforce", "example.edges"],

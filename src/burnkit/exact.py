@@ -2,7 +2,8 @@
 
 Two engines: a permutation-enumeration oracle for tiny graphs, and an
 iterative-deepening depth-first search with ball-coverage pruning that
-handles larger instances.  Both return a verified witness sequence.
+handles larger instances; on forests, a radius-cover refuter skips the
+depths below the optimum first.  Both return a verified witness sequence.
 """
 
 from __future__ import annotations
@@ -240,7 +241,7 @@ class _ForestCover:
         self.budget = budget
         self.nodes = 0
         self.parent = [-1] * G.n
-        self.depth = [0] * G.n
+        depth = [0] * G.n
         order = []
         for comp in components(G):
             reached = [min(comp)]
@@ -248,10 +249,10 @@ class _ForestCover:
                 for u in self.adjacency[v]:
                     if u != self.parent[v]:
                         self.parent[u] = v
-                        self.depth[u] = self.depth[v] + 1
+                        depth[u] = depth[v] + 1
                         reached.append(u)
             order += reached
-        self.vertex = sorted(order, key=self.depth.__getitem__)  # bit -> vertex
+        self.vertex = sorted(order, key=depth.__getitem__)  # bit -> vertex
         self.bit = [0] * G.n
         for i, v in enumerate(self.vertex):
             self.bit[v] = i
@@ -259,7 +260,7 @@ class _ForestCover:
         self.masks: dict[tuple[int, int], int] = {}
         self.failed: set[tuple[int, int]] = set()
 
-    def _ball(self, centre: int, radius: int) -> int:
+    def _mask(self, centre: int, radius: int) -> int:
         mask = self.masks.get((centre, radius))
         if mask is None:
             bit = self.bit
@@ -277,7 +278,7 @@ class _ForestCover:
             if not left:
                 return True
             left -= 1
-            uncovered &= ~self._ball(self.vertex[uncovered.bit_length() - 1], reach)
+            uncovered &= ~self._mask(self.vertex[uncovered.bit_length() - 1], reach)
         return False
 
     def _covers(self, uncovered: int, radii: int) -> bool:
@@ -292,8 +293,8 @@ class _ForestCover:
             if radii >> r & 1:
                 while climbed < r and self.parent[centre] >= 0:
                     centre, climbed = self.parent[centre], climbed + 1
-                rests.setdefault(uncovered & ~self._ball(centre, r), r)
-        for rest, r in reversed(rests.items()):
+                rests.setdefault(uncovered & ~self._mask(centre, r), r)
+        for rest, r in reversed(rests.items()):  # the largest radius first
             if self.nodes == self.budget:  # never true for a budget of None
                 raise _OutOfBudget
             self.nodes += 1

@@ -8,7 +8,7 @@ that the optimum is at least ceil((k-1)/3) + 1.  A ratio is the integer pair
 ratio of a vertex no source reaches.  Ties go to the smallest vertex.
 
 One incremental frontier, ``_Frontier``, carries the rounds.  It rests on
-three exact facts about the ratio d_j(v) / (k - j + 1):
+four exact facts about the ratio d_j(v) / (k - j + 1):
 
 1. A burned vertex stays burned.  With the deadline
    ``reach[v] = min_j (d_j(v) + j)``, v is burned at round k iff
@@ -19,9 +19,15 @@ three exact facts about the ratio d_j(v) / (k - j + 1):
 3. Take two records a < b, so d_a > d_b.  Once b's ratio is at or below a's,
    it stays there for every later round.  So each round drops the records
    before the current argmin.
+4. A new source j at distance d from v changes nothing once d is at least
+   the distance d_last of v's last record (d_last, j_last): no record is
+   appended, and d + j > d_last + j_last >= reach[v] leaves the deadline.
+   So with ``far`` the largest last-record distance, the source needs only
+   its ball of radius far - 1; only while some vertex has no record, that
+   is while a component is unseeded, does it need its whole component.
 
-A new source costs one BFS and one pass over the live list; a round costs
-O(live + their records).
+A new source costs one traversal of radius far - 1 and a pass over the
+vertices it reaches; a round costs O(live + their records).
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import RejectedInputError
-from .graph import UNREACHED, Graph, _bfs, _check_vertices
+from .graph import Graph, _ball, _check_vertices
 
 
 @dataclass(frozen=True)
@@ -47,6 +53,10 @@ class _Frontier:
 
     ``records[v]`` lists (d, j) for source j at distance d, d strictly falling;
     a vertex no source reaches has no records and a deadline past every round.
+    ``pick`` trims records from the front only, so the last record of a vertex
+    changes only in ``add``.  ``add`` also folds the burned vertices its ball
+    reaches: nothing reads them again, and counting them in ``far`` can only
+    widen a ball.
     """
 
     def __init__(self, adjacency):
@@ -55,21 +65,41 @@ class _Frontier:
         self.live = list(range(len(adjacency)))
         self.reach = [sys.maxsize] * len(adjacency)
         self.records: list[list[tuple[int, int]]] = [[] for _ in adjacency]
+        # unseeded counts the vertices without a record; lasts[d] those whose
+        # last record has distance d, and far is at least the largest such d,
+        # exact once trimmed
+        self.unseeded = len(adjacency)
+        self.lasts = [0] * len(adjacency)
+        self.far = 0
 
     def add(self, source: int) -> None:
-        """Place the next source: fold its BFS row into every live vertex."""
+        """Place the next source: fold its ball of radius far - 1 into the
+        vertices it reaches, or its whole component while a vertex has no
+        record."""
         self.placed += 1
         j = self.placed
-        row = _bfs(self.adjacency, source)
+        lasts = self.lasts
+        if self.unseeded:
+            radius = len(lasts)  # past every distance
+        else:
+            while not lasts[self.far]:
+                self.far -= 1
+            radius = self.far - 1
         reach, records = self.reach, self.records
-        for v in self.live:
-            d = row[v]
-            if d != UNREACHED:
-                if d + j < reach[v]:
-                    reach[v] = d + j
-                own = records[v]
-                if not own or d < own[-1][0]:
-                    own.append((d, j))
+        for v, d in _ball(self.adjacency, (source,), radius).items():
+            if d + j < reach[v]:
+                reach[v] = d + j
+            own = records[v]
+            if not own:
+                self.unseeded -= 1
+                if d > self.far:
+                    self.far = d
+            elif d < own[-1][0]:
+                lasts[own[-1][0]] -= 1
+            else:
+                continue
+            lasts[d] += 1
+            own.append((d, j))
 
     def pick(self) -> tuple[int | None, int]:
         """Round k's source (None if nothing is left) and the unburned count,
@@ -125,11 +155,14 @@ def burn_3approx(G: Graph, x1: int | None = None) -> ApproxResult:
 
     The result always verifies; its length is at most three times the
     burning number, and ``implied_lower`` is a sound lower bound derived
-    from the final failing prefix.  Each source costs one BFS.  Rounds scan
-    only the live (unburned) vertices: a vertex leaves once its deadline
-    min_j (d_j + j) falls below k, keeps only the (d, j) records with
-    strictly falling d, and drops the records before its current argmin,
-    which never regain the minimum.  A round is O(live + their records).
+    from the final failing prefix.  Each source costs one traversal of
+    radius far - 1, far the largest distance of any vertex's last record,
+    not a full BFS; it stays unbounded while a component is unseeded.
+    Rounds scan only the live (unburned) vertices: a vertex leaves once its
+    deadline min_j (d_j + j) falls below k, keeps only the (d, j) records
+    with strictly falling d, and drops the records before its current
+    argmin, which never regain the minimum.  A round is O(live + their
+    records).
     """
     if G.n == 0:
         raise RejectedInputError("cannot burn the empty graph")

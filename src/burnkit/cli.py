@@ -270,9 +270,16 @@ def cmd_verify(args) -> int:
 
 
 def _gen_random(args, rng, write, record) -> Graph:
+    n = args.n
+    # one coin per vertex pair, so the pairs are checked before the first draw
+    pairs = n * (n - 1) // 2
+    if pairs > _RANDOM_PAIR_CAP:
+        raise ParseError(
+            f"random graph on {n} vertices has {pairs} vertex pairs, "
+            f"exceeding the pair cap of {_RANDOM_PAIR_CAP}"
+        )
     if not 0 <= args.p <= 1:
         raise RejectedInputError(f"--p must lie in [0, 1], got {args.p}")
-    n = args.n
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < args.p]
     return from_edge_list(n, edges)
 
@@ -346,6 +353,9 @@ def _dk_gadget_order(args) -> int:
         raise ParseError("dk-gadget requires --q (ring size)")
     return hardness._dk_order(_largest(args), args.q)
 
+
+# ``gen random`` draws one coin per vertex pair: n = 4472 is the largest n allowed
+_RANDOM_PAIR_CAP = 10**7
 
 # kind -> (order, generate).  ``order(args)`` is the vertex count the options
 # imply, checked against the vertex cap before anything is built.

@@ -66,7 +66,7 @@ def parse_edge_list(text: str) -> Graph:
     if not rows:
         raise ParseError("empty edge-list input")
     try:
-        n, m = (int(token) for token in rows[0])
+        n, m = map(int, rows[0])
     except ValueError as exc:
         raise ParseError(f"bad header line {rows[0]!r}; expected 'n m'") from exc
     _check_vertex_count(n)
@@ -75,7 +75,7 @@ def parse_edge_list(text: str) -> Graph:
     edges = []
     for row in rows[1:]:
         try:
-            u, v = (int(token) for token in row)
+            u, v = map(int, row)
         except ValueError as exc:
             raise ParseError(f"bad edge line {row!r}") from exc
         edges.append((u, v))

@@ -549,6 +549,26 @@ class TestUnreadableAndUnwritableFiles:
         )
         assert list(tmp_path.iterdir()) == []
 
+    def test_gen_random_checks_its_pairs_before_drawing(self, monkeypatch, tmp_path, capsys):
+        import random
+
+        class Drew(Exception):
+            pass
+
+        def refuse(self):
+            raise Drew
+
+        monkeypatch.setattr(random.Random, "random", refuse)
+        self.assert_exit_3(
+            ["gen", "random", "--n", "4473", "--p", "0", "--out", str(tmp_path / "past")],
+            capsys,
+            "random graph on 4473 vertices has 10001628 vertex pairs, exceeding the pair cap of 10000000",
+        )
+        assert list(tmp_path.iterdir()) == []
+        # 4472 * 4471 / 2 = 9997156 pairs pass the check and reach the first coin
+        with pytest.raises(Drew):
+            run_cli("gen", "random", "--n", "4472", "--p", "0", "--out", str(tmp_path / "at"))
+
     def test_output_directory_is_a_file(self, tmp_path, capsys):
         (tmp_path / "plain").write_text("")
         prefix = tmp_path / "plain" / "x"
@@ -593,10 +613,12 @@ class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         target = tmp_path / "p9.edges"
         target.write_text(format_edge_list(path_graph(9)))
+        src = Path(__file__).resolve().parent.parent / "src"
         proc = subprocess.run(
             [sys.executable, "-m", "burnkit", "burn", "--engine", "path", str(target)],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["k"] == 3

@@ -1,12 +1,13 @@
 """Bounded eccentricities behind ``diameter_path`` and ``upper_bound_radius``.
 
 The all-BFS ``helpers.eccentricities`` and networkx are the oracles.  The
-work contract counts ``_bfs`` calls and ``_ball`` vertices: on paths, grids
-and interval gadgets the bounds close after a constant number of BFS runs,
+work contract counts ``_bfs`` and ``_ball`` runs and the vertices they
+reach: on paths, grids and interval gadgets the bounds close after a
+constant number of BFS runs,
 whatever n, exact search spends no n² work before its node budget and
 ranks candidates only at the few search nodes that pass its capacity prune,
-its forest refuter builds only the balls it uses, and approx3 runs one BFS
-per source.  Every ``burn`` walks its components once
+its forest refuter builds only the balls it uses, and approx3 runs one
+bounded traversal per source.  Every ``burn`` walks its components once
 and computes its bounds through ``exact``'s public names.
 """
 
@@ -32,7 +33,7 @@ from burnkit import (
 )
 from burnkit import cli, exact, graph
 from burnkit.formats import format_edge_list
-from burnkit.graph import _bfs, _EccentricityBounds
+from burnkit.graph import UNREACHED, _bfs, _EccentricityBounds
 from burnkit.hardness import gen_ig_gadget, gen_spider, gen_spider_forest, validate_d3p
 
 from helpers import (
@@ -160,34 +161,44 @@ def test_small_graphs_match_oracle(case):
 
 
 class _Work:
-    """``_bfs`` sources and ``_ball`` vertices reached by one measured call."""
+    """The traversals of one measured call, by source, the vertices its
+    ``_ball`` calls reach, and the vertices both kernels reach."""
 
     def __init__(self):
-        self.sources: list[int] = []
+        self.sources: list = []
         self.ball_vertices = 0
+        self.reached = 0
 
     def __call__(self, fn, g) -> int:
-        """Run ``fn(g)`` and return its ``_bfs`` runs."""
+        """Run ``fn(g)`` and return its ``_bfs`` and ``_ball`` runs."""
         self.sources = []
         self.ball_vertices = 0
+        self.reached = 0
         fn(g)
         return len(self.sources)
 
 
 @pytest.fixture
 def bfs_runs(monkeypatch):
-    """Counts every ``_bfs`` call and every vertex a ``_ball`` call reaches while
-    the test runs, through each burnkit module's binding of the two kernels."""
+    """Counts every ``_bfs`` and ``_ball`` call as a run, and the vertices each
+    reaches, while the test runs, through each burnkit module's binding of the
+    two kernels.  A run is recorded by its source, or by its tuple of sources
+    when a ball grows from several."""
     work = _Work()
     bfs, ball = graph._bfs, graph._ball
 
     def counting_bfs(adjacency, source):
         work.sources.append(source)
-        return bfs(adjacency, source)
+        row = bfs(adjacency, source)
+        work.reached += len(row) - row.count(UNREACHED)
+        return row
 
     def counting_ball(adjacency, sources, radius):
+        sources = tuple(sources)
+        work.sources.append(sources[0] if len(sources) == 1 else sources)
         reached = ball(adjacency, sources, radius)
         work.ball_vertices += len(reached)
+        work.reached += len(reached)
         return reached
 
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "burnkit"]
@@ -221,11 +232,14 @@ def test_diameter_path_computes_no_source_row_twice(family, bfs_runs):
         assert len(set(bfs_runs.sources)) == len(bfs_runs.sources), (g.n, bfs_runs.sources)
 
 
-@pytest.mark.parametrize("g", SCALED["path"] + SCALED["ig-gadget"][:1], ids=lambda g: str(g.n))
+@pytest.mark.parametrize("g", SCALED["path"] + SCALED["ig-gadget"], ids=lambda g: str(g.n))
 def test_approx3_makes_one_bfs_per_source(g, bfs_runs):
     results = []
     assert bfs_runs(lambda g: results.append(burn_3approx(g)), g) == results[0].k
     assert bfs_runs.sources == list(results[0].sequence)
+    # each source's traversal stops at the last distance that can change a
+    # record; a full BFS per source would reach k * n vertices
+    assert bfs_runs.reached <= 0.4 * results[0].k * g.n, (bfs_runs.reached, results[0].k)
     prefix = list(results[0].sequence[:-1])
     assert bfs_runs(lambda g: next_fire_source(g, len(prefix) + 1, prefix), g) == len(prefix)
 

@@ -3,12 +3,12 @@
 The all-BFS ``helpers.eccentricities`` and networkx are the oracles.  The
 work contract counts ``_bfs`` and ``_ball`` runs and the vertices they
 reach: on paths, grids and interval gadgets the bounds close after a
-constant number of BFS runs,
-whatever n, exact search spends no n² work before its node budget and
-ranks candidates only at the few search nodes that pass its capacity prune,
-its forest refuter builds only the balls it uses, and approx3 runs one
-bounded traversal per source.  Every ``burn`` walks its components once
-and computes its bounds through ``exact``'s public names.
+constant number of BFS runs, whatever n, exact search spends no n² work
+before its node budget and ranks candidates only at the few search nodes
+that pass its capacity prune, its forest refuter builds only the balls it
+uses, and approx3 runs one bounded traversal per source.  Every ``burn``
+walks its components once and computes its bounds through ``exact``'s
+public names.
 """
 
 import functools

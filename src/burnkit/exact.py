@@ -29,18 +29,20 @@ class ExactResult:
 
 
 def _ball_masks(G: Graph, k: int) -> list[list[int]]:
-    """``masks[r][v]``: the bitmask of ball(v, r) for r < k, from one sparse
-    ``graph._ball`` of radius k - 1 per vertex: Σ|ball| work, not n²."""
-    masks = [[0] * G.n for _ in range(k)]
-    for v in range(G.n):
-        shells = [0] * k  # shells[r]: the vertices at distance exactly r
-        for u, d in _ball(G.adjacency, (v,), k - 1).items():
-            shells[d] |= 1 << u
-        ball = 0
-        for r in range(k):
-            ball |= shells[r]
-            masks[r][v] = ball
-    return masks
+    """``masks[r][v]``: the bitmask of ball(v, r) for r < k, grown one radius
+    at a time: ball(v, r) is ball(v, r - 1) joined with ball(u, r - 1) for
+    every neighbour u, so the table costs (k - 1)(n + 2m) big-int ORs."""
+    ball = [1 << v for v in range(G.n)]
+    masks = [ball]
+    for _ in range(k - 1):
+        previous, ball = ball, []
+        for v, neighbors in enumerate(G.adjacency):
+            mask = previous[v]
+            for u in neighbors:
+                mask |= previous[u]
+            ball.append(mask)
+        masks.append(ball)
+    return masks[:k]
 
 
 def lower_bound(G: Graph) -> int:
@@ -122,10 +124,10 @@ class _Search:
     """Depth-first cover search for one target length k.
 
     ``balls[r][v]`` is the bitmask of the radius-r ball around v, for every
-    r < k, from ``_ball_masks``: one sparse ``graph._ball`` per vertex.  By the
-    closed form of the process, a vertex is a legal source at depth d when it
-    lies outside ball(x_t, d - t - 1) for every earlier source x_t, so the
-    legal set is the complement of one OR of table entries.
+    r < k, from ``_ball_masks``: (k - 1)(n + 2m) big-int ORs, one radius at a
+    time.  By the closed form of the process, a vertex is a legal source at
+    depth d when it lies outside ball(x_t, d - t - 1) for every earlier source
+    x_t, so the legal set is the complement of one OR of table entries.
 
     Every uncovered vertex u is a legal source that covers itself, since
     d(u, x_t) > k - t - 1 >= d - t - 1, so the best gain is >= 1.  An illegal
@@ -319,10 +321,10 @@ def burning_number_exact(
 
     Returns the same k as the brute-force oracle with some verified witness
     (not necessarily the lexicographically smallest one).  Each depth k
-    builds one search holding the radius-r ball masks for r < k, which cost
-    Σ|ball| over one sparse radius-(k - 1) ball per vertex, not n²; a vertex
-    is a legal next source when it lies outside ball(x_t, depth - t - 1) for
-    every earlier source x_t.  A node checks the capacity prune before it
+    builds one search holding the radius-r ball masks for r < k, grown one
+    radius at a time in (k - 1)(n + 2m) big-int ORs; a vertex is a legal next
+    source when it lies outside ball(x_t, depth - t - 1) for every earlier
+    source x_t.  A node checks the capacity prune before it
     ranks anything: first the reachable sum (the uncovered count against the
     remaining balls' largest sizes), then a threshold scan of the balls by
     falling size for one whose gain is at least the least best gain that can

@@ -33,10 +33,12 @@ UNREACHED = -1
 class Graph:
     """Simple undirected graph held as sorted per-vertex neighbor tuples.
 
-    Construction validates the representation: no self-loops, no parallel
-    edges, symmetric adjacency, every endpoint below ``n``.  Instances are
-    immutable and safe to share across threads; the components are walked
-    once, when first asked for, and kept.
+    Direct construction, ``Graph(n, adjacency)``, validates the rows it is
+    given: no self-loops, no parallel edges, symmetric adjacency, every
+    endpoint below ``n``.  The builders all go through ``from_edge_list``,
+    which checks the edge list once and constructs valid rows, so their graphs
+    skip this second check.  Instances are immutable and safe to share across
+    threads; the components are walked once, when first asked for, and kept.
     """
 
     n: int
@@ -102,14 +104,28 @@ class Graph:
 
 
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a graph from an edge list; duplicates collapse, isolated vertices stay."""
+    """Build a graph from an edge list; duplicates collapse, isolated vertices stay.
+
+    The list is checked here, once: the first edge with an endpoint out of
+    range, in input order, then a negative ``n``, then the smallest self-loop
+    vertex.  The rows it then builds are sorted and symmetric by
+    construction, so the graph skips ``Graph``'s check of every row.
+    """
     neighbor_sets: list[set[int]] = [set() for _ in range(n)]
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise RejectedInputError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
         neighbor_sets[u].add(v)
         neighbor_sets[v].add(u)
-    return Graph(n, tuple(tuple(sorted(s)) for s in neighbor_sets))
+    if n < 0:
+        raise RejectedInputError("vertex count must be nonnegative")
+    for v, neighbors in enumerate(neighbor_sets):
+        if v in neighbors:
+            raise RejectedInputError(f"self-loop at vertex {v}")
+    graph = object.__new__(Graph)
+    object.__setattr__(graph, "n", n)
+    object.__setattr__(graph, "adjacency", tuple(tuple(sorted(s)) for s in neighbor_sets))
+    return graph
 
 
 def _bfs(adjacency: Sequence[Sequence[int]], source: int) -> list[int]:

@@ -16,8 +16,7 @@ from burnkit import (
     upper_bound_radius,
     verify,
 )
-from burnkit.exact import _ball_masks
-from burnkit.graph import _bfs
+from burnkit.graph import _ball, _bfs
 
 
 def path_graph(n: int) -> Graph:
@@ -156,6 +155,25 @@ def random_interval_pairs(rng: random.Random, n: int) -> list[tuple[int, int]]:
     return pairs
 
 
+def reference_ball_masks(G: Graph, k: int) -> list[list[int]]:
+    """``masks[r][v]``: the bitmask of ball(v, r) for r < k, from one sparse
+    ``graph._ball`` of radius k - 1 per vertex.
+
+    The reference for exact search's table, which grows radius by radius
+    instead.
+    """
+    masks = [[0] * G.n for _ in range(k)]
+    for v in range(G.n):
+        shells = [0] * k  # shells[r]: the vertices at distance exactly r
+        for u, d in _ball(G.adjacency, (v,), k - 1).items():
+            shells[d] |= 1 << u
+        ball = 0
+        for r in range(k):
+            ball |= shells[r]
+            masks[r][v] = ball
+    return masks
+
+
 def all_optimal_sequences(G: Graph, k: int) -> list[tuple[int, ...]]:
     """Every verifying sequence of length k, by exhaustive enumeration."""
     return [S for S in itertools.permutations(range(G.n), k) if verify(G, S)]
@@ -167,8 +185,9 @@ class _ReferenceOutOfBudget(Exception):
 
 class _ReferenceSearch:
     """Exact search's cover search as it ranked every node's candidates: the
-    best gain comes from sorting a ``(-gain, v)`` tuple per legal vertex, and
-    the capped capacity sum is recomputed at every node."""
+    best gain comes from sorting a ``(-gain, v)`` tuple per legal vertex, the
+    capped capacity sum is recomputed at every node, and the ball table is
+    ``reference_ball_masks``, independent of the engine's."""
 
     def __init__(self, G: Graph, k: int, budget: int | None):
         self.n = G.n
@@ -176,7 +195,7 @@ class _ReferenceSearch:
         self.budget = budget
         self.nodes = 0
         self.full = (1 << G.n) - 1
-        self.balls = _ball_masks(G, k)
+        self.balls = reference_ball_masks(G, k)
         self.max_ball = [max(ball.bit_count() for ball in table) for table in self.balls]
         self.reachable = [0, *itertools.accumulate(self.max_ball)]
 

@@ -79,6 +79,12 @@ class TestBurnCommand:
         code, _ = run_cli("burn", bad.as_posix())
         assert code == 3
 
+    def test_negative_vertex_count_is_a_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "negative.edges"
+        bad.write_text("-1 0\n")
+        assert run_cli("burn", str(bad)) == (3, "")
+        assert capsys.readouterr().err == "parse error: vertex count must be nonnegative\n"
+
     def test_interval_format_input(self, tmp_path):
         source = tmp_path / "nine.intervals"
         source.write_text("".join(f"{i} {i + 1}\n" for i in range(9)))
@@ -426,6 +432,12 @@ class TestGenCommand:
         code, _ = run_cli("gen", "dk-gadget", "--x", "4,5,6", "--out", str(tmp_path / "x"))
         assert code == 3
 
+    def test_negative_order_writes_nothing(self, tmp_path, capsys):
+        prefix = tmp_path / "p"
+        assert run_cli("gen", "path", "--n", "-3", "--out", str(prefix)) == (5, "")
+        assert "vertex count must be nonnegative" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestUnreadableAndUnwritableFiles:
     """Files that cannot be decoded, parsed or written exit 3 with a message."""
@@ -693,6 +705,10 @@ class TestBench:
         code, out = run_cli("bench", "--sizes", "4,5,9")
         assert (code, out) == (3, "")
         assert "graph has 5 vertices, exceeding the vertex cap of 4" in capsys.readouterr().err
+
+    def test_negative_size_is_rejected(self, capsys):
+        assert run_cli("bench", "--sizes", "-5") == (5, "")
+        assert "vertex count must be nonnegative" in capsys.readouterr().err
 
     def test_degenerate_size_fails_as_burn_does(self, capsys):
         assert run_cli("bench", "--kind", "cycle", "--sizes", "2", "--engines", "path")[0] == 5

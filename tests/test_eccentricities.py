@@ -5,10 +5,11 @@ work contract counts ``_bfs`` and ``_ball`` runs and the vertices they
 reach: on paths, grids and interval gadgets the bounds close after a
 constant number of BFS runs, whatever n, exact search spends no n² work
 before its node budget and ranks candidates only at the few search nodes
-that pass its capacity prune, its forest refuter builds only the balls it
-uses, and approx3 runs one bounded traversal per source.  Every ``burn``
-walks its components once and computes its bounds through ``exact``'s
-public names.
+that pass its capacity prune, its ball table needs no traversal at all, its
+forest refuter builds only the balls it uses, and approx3 runs one bounded
+traversal per source.  The graph builders check each graph once, without
+``Graph``'s row check.  Every ``burn`` walks its components once and
+computes its bounds through ``exact``'s public names.
 """
 
 import functools
@@ -21,18 +22,22 @@ import pytest
 from hypothesis import given, settings
 
 from burnkit import (
+    DiskArrangement,
     DisconnectedGraphError,
+    IntervalSet,
     NodeBudgetError,
     burn_3approx,
     burning_number_exact,
     components,
     diameter_path,
+    disk_graph,
     from_edge_list,
+    interval_graph,
     next_fire_source,
     upper_bound_radius,
 )
 from burnkit import cli, exact, graph
-from burnkit.formats import format_edge_list
+from burnkit.formats import format_edge_list, parse_edge_list
 from burnkit.graph import UNREACHED, _bfs, _EccentricityBounds
 from burnkit.hardness import gen_ig_gadget, gen_spider, gen_spider_forest, validate_d3p
 
@@ -320,6 +325,47 @@ def test_forest_refuter_builds_only_the_balls_it_uses(family, bfs_runs):
     (small_ball, small_masks), (large_ball, large_masks) = work
     assert large_ball <= 10 * small_ball, work
     assert large_masks <= 10 * small_masks, work
+
+
+@pytest.mark.parametrize("g", SCALED["grid"], ids=["10x10", "20x20", "10x40", "20x80"])
+def test_ball_table_grows_without_traversals(g, bfs_runs):
+    # exact search's table grows one radius at a time from the adjacency rows,
+    # with no sparse ball and no BFS per vertex
+    assert bfs_runs(lambda g: exact._ball_masks(g, 8), g) == 0
+    assert bfs_runs.reached == 0
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """Counts the runs of ``Graph.__post_init__``, the full check of a
+    directly constructed graph, while the test runs."""
+    runs = []
+    check = graph.Graph.__post_init__
+
+    def counting(g):
+        runs.append(g.n)
+        check(g)
+
+    monkeypatch.setattr(graph.Graph, "__post_init__", counting)
+    return runs
+
+
+BUILDS = {
+    "from_edge_list": lambda: from_edge_list(4, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 0)]),
+    "parse_edge_list": lambda: parse_edge_list("4 3\n0 1\n1 2\n2 3\n"),
+    "interval_graph": lambda: interval_graph(IntervalSet.from_pairs([(0, 2), (1, 3), (3, 4), (6, 7)])),
+    "disk_graph": lambda: disk_graph(DiskArrangement.from_triples([(0, 0, 1), (2, 0, 1), (5, 0, 1)])),
+}
+
+
+@pytest.mark.parametrize("build", BUILDS)
+def test_builders_check_their_graph_once(build, validations):
+    # a builder validates its edge list itself and skips the transposed-row check
+    g = BUILDS[build]()
+    assert g.n and validations == []
+    # a direct construction receives rows from outside and checks them all
+    assert graph.Graph(g.n, g.adjacency) == g
+    assert validations == [g.n]
 
 
 def test_cycles_take_one_bfs_per_vertex_at_most(bfs_runs):

@@ -19,26 +19,29 @@ from burnkit import (
 )
 from burnkit.exact import _ball_masks, _ForestCover, _OutOfBudget, _Search
 from burnkit.graph import components
-from burnkit.hardness import gen_spider
+from burnkit.hardness import gen_dk_gadget, gen_ig_gadget, gen_pg_gadget, gen_spider, validate_d3p
 
 from helpers import (
     _ReferenceOutOfBudget,
     _ReferenceSearch,
     all_optimal_sequences,
     complete_graph,
+    eccentricities,
     fig_example_graph,
     grid_graph,
     path_graph,
     random_connected_graph,
     random_graph,
     random_tree,
+    reference_ball_masks,
     reference_exact,
     small_edge_lists,
 )
 
 
 class TestBallMasks:
-    """``_ball_masks``, the one ball table of both engines, against networkx."""
+    """``_ball_masks``, the one ball table of both engines, against networkx
+    and against the sparse ``helpers.reference_ball_masks``."""
 
     def test_matches_networkx_distances(self):
         nx = pytest.importorskip("networkx")
@@ -59,6 +62,30 @@ class TestBallMasks:
                     for v in range(g.n):
                         near = nx.single_source_shortest_path_length(h, v, cutoff=r)
                         assert masks[r][v] == sum(1 << u for u in near), (g.edges(), k, r, v)
+
+    def test_matches_the_sparse_reference_on_the_atlas(self):
+        nx = pytest.importorskip("networkx")
+        for h in nx.graph_atlas_g():  # all 1253 graphs on at most 7 vertices
+            g = from_edge_list(h.number_of_nodes(), h.edges())
+            for k in range(1, g.n + 2):
+                assert _ball_masks(g, k) == reference_ball_masks(g, k), (g.edges(), k)
+
+    @pytest.mark.parametrize("kind", ["ig", "pg", "dk"])
+    def test_matches_the_sparse_reference_on_gadgets(self, kind):
+        inst = validate_d3p([4, 5, 6])
+        cert = {
+            "ig": lambda: gen_ig_gadget(inst),
+            "pg": lambda: gen_pg_gadget(inst)[1],
+            "dk": lambda: gen_dk_gadget(inst, 14)[1],
+        }[kind]()
+        g = cert.graph
+        reference = reference_ball_masks(g, g.n + 1)
+        # every depth up to the optimum, the deepest table exact search builds;
+        # past the largest eccentricity e every row is its whole component,
+        # so the depths e + 1, e + 2 and n + 1 stand for the rest
+        deepest = max(eccentricities(g))
+        for k in sorted({*range(1, cert.claimed_k + 1), deepest + 1, deepest + 2, g.n + 1}):
+            assert _ball_masks(g, k) == reference[:k], (kind, k)
 
 
 class TestBruteforce:

@@ -23,6 +23,8 @@ from burnkit import (
     permutation_graph,
 )
 from burnkit import graph
+from burnkit.errors import ParseError
+from burnkit.formats import parse_edge_list
 from burnkit.graph import _path_order
 from burnkit.hardness import gen_ig_gadget, gen_spider, gen_spider_forest, validate_d3p
 
@@ -34,6 +36,7 @@ from helpers import (
     path_graph,
     random_connected_graph,
     random_graph,
+    small_edge_lists,
     Q,
 )
 
@@ -65,12 +68,41 @@ class TestFromEdgeList:
         assert g == complete_graph(4)
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(RejectedInputError):
+        with pytest.raises(RejectedInputError, match=r"^edge \(0, 3\) has an endpoint outside 0\.\.2$"):
             from_edge_list(3, [(0, 3)])
 
     def test_rejects_self_loop(self):
         with pytest.raises(RejectedInputError, match="^self-loop at vertex 1$"):
             from_edge_list(3, [(1, 1)])
+
+    def test_parsed_negative_vertex_count_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="^vertex count must be nonnegative$"):
+            parse_edge_list("-1 0")
+
+    @pytest.mark.parametrize(
+        "n, edges, message",
+        [
+            # the first out-of-range edge in input order, before an earlier self-loop
+            (3, [(1, 1), (0, 3), (4, 0)], "edge (0, 3) has an endpoint outside 0..2"),
+            (3, [(0, 1), (-1, 2)], "edge (-1, 2) has an endpoint outside 0..2"),
+            # with n < 0 every edge is out of range, and that comes first
+            (-2, [(0, 0)], "edge (0, 0) has an endpoint outside 0..-3"),
+            (-1, [], "vertex count must be nonnegative"),
+            # the smallest self-loop vertex, whatever the input order
+            (5, [(4, 4), (0, 1), (2, 2), (3, 3)], "self-loop at vertex 2"),
+        ],
+    )
+    def test_reports_the_first_fault_in_order(self, n, edges, message):
+        with pytest.raises(RejectedInputError) as excinfo:
+            from_edge_list(n, edges)
+        assert str(excinfo.value) == message
+
+    @given(small_edge_lists)
+    @settings(deadline=None)
+    def test_builds_the_rows_a_direct_graph_accepts(self, case):
+        n, edges = case
+        g = from_edge_list(n, edges)
+        assert g == Graph(n, g.adjacency)
 
 
 class TestGraphValidation:

@@ -36,7 +36,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import RejectedInputError
-from .graph import Graph, _ball, _check_vertices
+from .graph import Graph, _bfs, _check_vertices
 
 
 @dataclass(frozen=True)
@@ -79,14 +79,15 @@ class _Frontier:
         self.placed += 1
         j = self.placed
         lasts = self.lasts
-        if self.unseeded:
-            radius = len(lasts)  # past every distance
-        else:
+        radius = None
+        if not self.unseeded:
             while not lasts[self.far]:
                 self.far -= 1
             radius = self.far - 1
         reach, records = self.reach, self.records
-        for v, d in _ball(self.adjacency, (source,), radius).items():
+        dist, reached = _bfs(self.adjacency, (source,), radius)
+        for v in reached:
+            d = dist[v]
             if d + j < reach[v]:
                 reach[v] = d + j
             own = records[v]

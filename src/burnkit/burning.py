@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidSequenceError, RejectedInputError
-from .graph import Graph, _ball, _check_vertices
+from .graph import Graph, _bfs, _check_vertices
 
 
 @dataclass(frozen=True)
@@ -85,30 +85,29 @@ def simulate(G: Graph, sequence) -> BurnOutcome:
     )
 
 
-def _balls(G: Graph, sequence) -> tuple[tuple[int, ...], list[dict[int, int]]]:
-    """The sequence and, per source i (0-based), its radius k-i-1 ball with distances."""
+def _balls(G: Graph, sequence) -> tuple[list[list[int]], bool]:
+    """Per source i (0-based), the vertices of its radius k-i-1 ball, and
+    whether no later source x_j lies within distance j-i-1 of an earlier
+    source x_i (it would already be burned when placed).
+
+    One source at a time, the later sources are read from its ball's distance
+    row, which is then dropped, so only the k sparse balls are kept.
+    """
     S = _check_sequence(G, sequence)
     k = len(S)
-    return S, [_ball(G.adjacency, (source,), k - i - 1) for i, source in enumerate(S)]
-
-
-def _burns(n: int, S: tuple[int, ...], balls: list[dict[int, int]]) -> bool:
-    """The closed form of burning, on the balls of ``_balls``.
-
-    The balls cover all n vertices, and no source x_j lies within distance
-    j-i-1 of an earlier source x_i (it would already be burned when placed).
-    """
-    for i, ball in enumerate(balls):
-        for j in range(i + 1, len(S)):
-            d = ball.get(S[j])
-            if d is not None and d < j - i:
-                return False
-    return len(set().union(*balls)) == n
+    balls = []
+    legal = True
+    for i, source in enumerate(S):
+        dist, reached = _bfs(G.adjacency, (source,), k - i - 1)
+        # UNREACHED is negative
+        legal = legal and not any(0 <= dist[S[j]] < j - i for j in range(i + 1, k))
+        balls.append(reached)
+    return balls, legal
 
 
 def coverage(G: Graph, sequence) -> set[int]:
     """Union of the k balls a k-round run reaches: radius k-i around source i."""
-    _, balls = _balls(G, sequence)
+    balls, _ = _balls(G, sequence)
     return set().union(*balls)
 
 
@@ -118,19 +117,19 @@ def covers_all(G: Graph, sequence) -> bool:
 
 
 def verify(G: Graph, sequence) -> bool:
-    """Polynomial validity check for a burning sequence.
+    """Polynomial validity check for a burning sequence: the closed form of burning.
 
     True iff the k coverage balls together reach every vertex and no later
     source sits inside an earlier source's forbidden ball (which would mean
     it was already burned when placed).
     """
-    S, balls = _balls(G, sequence)
-    return _burns(G.n, S, balls)
+    balls, legal = _balls(G, sequence)
+    return legal and len(set().union(*balls)) == G.n
 
 
 def clusters(G: Graph, sequence) -> list[frozenset[int]]:
     """Per-source coverage balls of a valid sequence (radius k-i around source i)."""
-    S, balls = _balls(G, sequence)
-    if not _burns(G.n, S, balls):
+    balls, legal = _balls(G, sequence)
+    if not (legal and len(set().union(*balls)) == G.n):
         raise InvalidSequenceError("clusters are defined only for valid burning sequences")
     return [frozenset(ball) for ball in balls]

@@ -391,7 +391,10 @@ def cmd_gen(args) -> int:
 
     order, generate = _GEN_KINDS[args.kind]
     # no file is written for a graph that reading it back would refuse
-    formats._check_vertex_count(order(args))
+    n = order(args)
+    if n < 0:
+        raise RejectedInputError("vertex count must be nonnegative")
+    formats._check_vertex_count(n)
     G = generate(args, random.Random(args.seed), write, record)
     formats._check_vertex_count(G.n)
     write(".edges", formats.format_edge_list(G))

@@ -16,7 +16,7 @@ from operator import itemgetter
 from .burning import BurnSchedule, simulate
 from .errors import NodeBudgetError, RejectedInputError, VertexCapError
 from .families import _ceil_sqrt
-from .graph import Graph, _ball, _bfs, _EccentricityBounds, components
+from .graph import Graph, _bfs, _EccentricityBounds, components
 
 
 @dataclass(frozen=True)
@@ -47,23 +47,23 @@ def _ball_masks(G: Graph, k: int) -> list[list[int]]:
 
 def lower_bound(G: Graph) -> int:
     """Max of the component count, the square-root law for path forests, and
-    the square-root of each tree component's diameter-path order."""
+    the square-root of each tree component's diameter-path order.
+
+    One double sweep finds every tree's diameter: a run from each tree's
+    smallest vertex, then one from each tree's farthest vertex.  Each tree
+    holds one source of a run, so its distances are those of its own sweep.
+    """
     comps = components(G)
     bound = len(comps)
     # a path forest: max degree 2 and acyclic, so every component has |E| = |V| - 1
     if all(len(neighbors) <= 2 for neighbors in G.adjacency) and G.edge_count == G.n - len(comps):
         bound = max(bound, _ceil_sqrt(G.n))
-    for comp in comps:
-        members = sorted(comp)
-        edge_ends = sum(len(G.adjacency[v]) for v in members)
-        if edge_ends // 2 != len(members) - 1:
-            continue  # not a tree
-        # double BFS finds a tree diameter exactly
-        first = _bfs(G.adjacency, members[0])
-        far = max(members, key=lambda v: first[v])
-        second = _bfs(G.adjacency, far)
-        diameter_order = max(second[v] for v in members) + 1
-        bound = max(bound, _ceil_sqrt(diameter_order))
+    # a tree has |V| - 1 edges, so 2|V| - 2 edge ends
+    trees = [comp for comp in comps if sum(len(G.adjacency[v]) for v in comp) == 2 * len(comp) - 2]
+    if trees:
+        first, _ = _bfs(G.adjacency, [min(tree) for tree in trees])
+        second, _ = _bfs(G.adjacency, [max(tree, key=first.__getitem__) for tree in trees])
+        bound = max(bound, _ceil_sqrt(max(second) + 1))
     return bound
 
 
@@ -226,12 +226,14 @@ class _ForestCover:
     """Decides on a forest whether balls of radii k - 1, ..., 0, one each, cover
     V, which holds exactly when b(G) <= k (Bonato, Janssen & Roshanbin 2016).
 
-    Each component is rooted at its smallest vertex, and bit i of a mask is the
-    i-th vertex in order of depth, so the deepest uncovered vertex u is the
-    highest set bit.  Every uncovered vertex that some radius-r ball around u
-    covers lies in ball(a, r), where a is u's ancestor at distance r, or the
-    root when u is shallower (the exchange argument for tree centres, Kariv &
-    Hakimi 1979).  So a node branches only on which remaining radius covers u.
+    One run from every component's smallest vertex, its root, gives the
+    depths, and bit i of a mask is the i-th vertex it reaches, so the deepest
+    uncovered vertex u is the highest set bit; u's parent is its neighbour
+    one level shallower.  Every uncovered vertex that some radius-r ball
+    around u covers lies in ball(a, r), where a is u's ancestor at distance
+    r, or the root when u is shallower (the exchange argument for tree
+    centres, Kariv & Hakimi 1979).  So a node branches only on which
+    remaining radius covers u.
     Three rules prune: packing (uncovered vertices picked deepest first, each
     more than 2·r_max from the earlier picks, need a ball each), dominance (a
     radius that leaves what a smaller one leaves is skipped) and a memo of
@@ -242,19 +244,12 @@ class _ForestCover:
         self.adjacency = G.adjacency
         self.budget = budget
         self.nodes = 0
+        depth, self.vertex = _bfs(self.adjacency, [min(comp) for comp in components(G)])  # bit -> vertex
         self.parent = [-1] * G.n
-        depth = [0] * G.n
-        order = []
-        for comp in components(G):
-            reached = [min(comp)]
-            for v in reached:  # the list grows as the walk reaches vertices
-                for u in self.adjacency[v]:
-                    if u != self.parent[v]:
-                        self.parent[u] = v
-                        depth[u] = depth[v] + 1
-                        reached.append(u)
-            order += reached
-        self.vertex = sorted(order, key=depth.__getitem__)  # bit -> vertex
+        for v in self.vertex:
+            for u in self.adjacency[v]:
+                if depth[u] > depth[v]:
+                    self.parent[u] = v
         self.bit = [0] * G.n
         for i, v in enumerate(self.vertex):
             self.bit[v] = i
@@ -267,7 +262,7 @@ class _ForestCover:
         if mask is None:
             bit = self.bit
             mask = 0
-            for v in _ball(self.adjacency, (centre,), radius):
+            for v in _bfs(self.adjacency, (centre,), radius)[1]:
                 mask |= 1 << bit[v]
             self.masks[centre, radius] = mask
         return mask

@@ -13,6 +13,9 @@ L is capped at ``_FRAME_BITS`` bits, because n distinct denominators can
 make it the product of all of them, carried by every coordinate.  Past the
 cap the builders sort the exact ``Fraction`` keys instead, and the disk test
 scales each pair by its own denominators (see ``disk_graph``).
+
+Every breadth-first distance in burnkit comes from one private kernel,
+``_bfs``: a run from several sources, bounded by a radius or not.
 """
 
 from __future__ import annotations
@@ -128,40 +131,33 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return graph
 
 
-def _bfs(adjacency: Sequence[Sequence[int]], source: int) -> list[int]:
-    """Distances from ``source``; UNREACHED in other components."""
+def _bfs(
+    adjacency: Sequence[Sequence[int]], sources: Iterable[int], radius: int | None = None
+) -> tuple[list[int], list[int]]:
+    """``(dist, reached)``: a dense row of the hops from the nearest source,
+    UNREACHED past ``radius`` (None: unbounded) and in other components, and
+    the vertices that have a distance, in breadth-first order: the sources
+    first, deduplicated and in the order given.  A negative radius reaches
+    the sources alone; the run stops at its first vertex at distance radius.
+    """
     dist = [UNREACHED] * len(adjacency)
-    dist[source] = 0
-    queue = [source]
-    for v in queue:  # the list grows as the search reaches vertices
-        d = dist[v] + 1
+    reached = []
+    for source in sources:
+        if dist[source] == UNREACHED:
+            dist[source] = 0
+            reached.append(source)
+    if radius is None:
+        radius = len(adjacency)  # past every distance
+    for v in reached:  # the list grows as the search reaches vertices
+        d = dist[v]
+        if d >= radius:
+            break
+        d += 1
         for u in adjacency[v]:
             if dist[u] == UNREACHED:
                 dist[u] = d
-                queue.append(u)
-    return dist
-
-
-def _ball(
-    adjacency: Sequence[Sequence[int]], sources: Iterable[int], radius: int
-) -> dict[int, int]:
-    """Every vertex within ``radius`` hops of ``sources``, mapped to its distance.
-
-    Sparse: the cost is the size of the ball plus the edges leaving it, not n.
-    """
-    dist = dict.fromkeys(sources, 0)
-    frontier = list(dist)
-    for d in range(1, radius + 1):
-        reached = []
-        for v in frontier:
-            for u in adjacency[v]:
-                if u not in dist:
-                    dist[u] = d
-                    reached.append(u)
-        if not reached:
-            break
-        frontier = reached
-    return dist
+                reached.append(u)
+    return dist, reached
 
 
 class _EccentricityBounds:
@@ -208,12 +204,12 @@ class _EccentricityBounds:
     def probe(self, i: int) -> None:
         """Decide member i, and more: by one bounding BFS, or by the fallback."""
         if self.runs <= 4 + self.decided / 2:
-            self.tighten(_bfs(self.adjacency, self.members[i]))
+            self.tighten(_bfs(self.adjacency, (self.members[i],))[0])
             return
         lower, upper = self.lower, self.upper
         for j, u in enumerate(self.members):
             if lower[j] < upper[j]:
-                lower[j] = upper[j] = max(_bfs(self.adjacency, u))
+                lower[j] = upper[j] = max(_bfs(self.adjacency, (u,))[0])
         self.decided = len(self.members)
 
     def pick(self) -> int:
@@ -268,7 +264,8 @@ def _check_vertices(G: Graph, vertices: Iterable[int], what: str) -> None:
 def bfs_distances(G: Graph, source: int) -> list[int | float]:
     """Shortest-path distances from ``source``; unreachable vertices get ``math.inf``."""
     _check_vertices(G, (source,), "source")
-    return [math.inf if d == UNREACHED else d for d in _bfs(G.adjacency, source)]
+    dist, _ = _bfs(G.adjacency, (source,))
+    return [math.inf if d == UNREACHED else d for d in dist]
 
 
 def neighborhood(G: Graph, X: Iterable[int], i: int) -> set[int]:
@@ -277,7 +274,7 @@ def neighborhood(G: Graph, X: Iterable[int], i: int) -> set[int]:
     _check_vertices(G, members, "vertex")
     if i < 0:
         raise RejectedInputError("radius must be nonnegative")
-    return set(_ball(G.adjacency, members, i))
+    return set(_bfs(G.adjacency, members, i)[1])
 
 
 def components(G: Graph) -> list[frozenset[int]]:
@@ -306,7 +303,7 @@ def diameter_path(G: Graph) -> list[int]:
     """
     if G.n == 0:
         raise DisconnectedGraphError("diameter undefined for the empty graph")
-    first = _bfs(G.adjacency, 0)
+    first, _ = _bfs(G.adjacency, (0,))
     if UNREACHED in first:
         raise DisconnectedGraphError("diameter undefined for a disconnected graph")
     ecc = _EccentricityBounds(G.adjacency, range(G.n))
@@ -322,10 +319,10 @@ def diameter_path(G: Graph) -> list[int]:
         ecc.probe(source)
     # keyed by the one vertex at distance 0
     rows = {row.index(0): row for row in (first, ecc.previous, ecc.latest) if row}
-    target = (rows.get(source) or _bfs(G.adjacency, source)).index(best)
+    target = (rows.get(source) or _bfs(G.adjacency, (source,))[0]).index(best)
     # Greedy minimal-neighbor descent on distances-to-target yields the
     # lexicographically smallest shortest path.
-    to_target = rows.get(target) or _bfs(G.adjacency, target)
+    to_target = rows.get(target) or _bfs(G.adjacency, (target,))[0]
     path = [source]
     current = source
     while current != target:

@@ -16,7 +16,7 @@ from burnkit import (
     upper_bound_radius,
     verify,
 )
-from burnkit.graph import _ball, _bfs
+from burnkit.graph import _bfs
 
 
 def path_graph(n: int) -> Graph:
@@ -63,7 +63,7 @@ def eccentricities(G: Graph) -> list[int]:
 
     The reference for the bounded eccentricity search in ``burnkit.graph``.
     """
-    return [max(_bfs(G.adjacency, v)) for v in range(G.n)]
+    return [max(_bfs(G.adjacency, (v,))[0]) for v in range(G.n)]
 
 
 def fig_example_graph() -> Graph:
@@ -156,8 +156,8 @@ def random_interval_pairs(rng: random.Random, n: int) -> list[tuple[int, int]]:
 
 
 def reference_ball_masks(G: Graph, k: int) -> list[list[int]]:
-    """``masks[r][v]``: the bitmask of ball(v, r) for r < k, from one sparse
-    ``graph._ball`` of radius k - 1 per vertex.
+    """``masks[r][v]``: the bitmask of ball(v, r) for r < k, from one
+    ``graph._bfs`` of radius k - 1 per vertex.
 
     The reference for exact search's table, which grows radius by radius
     instead.
@@ -165,8 +165,9 @@ def reference_ball_masks(G: Graph, k: int) -> list[list[int]]:
     masks = [[0] * G.n for _ in range(k)]
     for v in range(G.n):
         shells = [0] * k  # shells[r]: the vertices at distance exactly r
-        for u, d in _ball(G.adjacency, (v,), k - 1).items():
-            shells[d] |= 1 << u
+        dist, reached = _bfs(G.adjacency, (v,), k - 1)
+        for u in reached:
+            shells[dist[u]] |= 1 << u
         ball = 0
         for r in range(k):
             ball |= shells[r]

@@ -432,9 +432,13 @@ class TestGenCommand:
         code, _ = run_cli("gen", "dk-gadget", "--x", "4,5,6", "--out", str(tmp_path / "x"))
         assert code == 3
 
-    def test_negative_order_writes_nothing(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "kind, size",
+        [("path", "--n"), ("random", "--n"), ("intervals", "--n"), ("permutation", "--k")],
+    )
+    def test_negative_order_writes_nothing(self, kind, size, tmp_path, capsys):
         prefix = tmp_path / "p"
-        assert run_cli("gen", "path", "--n", "-3", "--out", str(prefix)) == (5, "")
+        assert run_cli("gen", kind, size, "-3", "--out", str(prefix)) == (5, "")
         assert "vertex count must be nonnegative" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 

@@ -1,13 +1,14 @@
 """Bounded eccentricities behind ``diameter_path`` and ``upper_bound_radius``.
 
 The all-BFS ``helpers.eccentricities`` and networkx are the oracles.  The
-work contract counts ``_bfs`` and ``_ball`` runs and the vertices they
-reach: on paths, grids and interval gadgets the bounds close after a
+work contract counts the runs of the one kernel, ``_bfs``, and the vertices
+they reach: on paths, grids and interval gadgets the bounds close after a
 constant number of BFS runs, whatever n, exact search spends no n² work
 before its node budget and ranks candidates only at the few search nodes
 that pass its capacity prune, its ball table needs no traversal at all, its
 forest refuter builds only the balls it uses, and approx3 runs one bounded
-traversal per source.  The graph builders check each graph once, without
+traversal per source.  The lower bound sweeps every tree component at
+once, in two runs.  The graph builders check each graph once, without
 ``Graph``'s row check.  Every ``burn`` walks its components once and
 computes its bounds through ``exact``'s public names.
 """
@@ -34,12 +35,13 @@ from burnkit import (
     from_edge_list,
     interval_graph,
     next_fire_source,
+    permutation_graph,
     upper_bound_radius,
 )
 from burnkit import cli, exact, graph
 from burnkit.formats import format_edge_list, parse_edge_list
-from burnkit.graph import UNREACHED, _bfs, _EccentricityBounds
-from burnkit.hardness import gen_ig_gadget, gen_spider, gen_spider_forest, validate_d3p
+from burnkit.graph import _bfs, _EccentricityBounds
+from burnkit.hardness import gen_ig_gadget, gen_pg_gadget, gen_spider, gen_spider_forest, validate_d3p
 
 from helpers import (
     complete_graph,
@@ -93,7 +95,7 @@ def _expected_diameter_path_ends(g) -> tuple[int, int, int]:
     ecc = eccentricities(g)
     best = max(ecc)
     source = ecc.index(best)
-    return source, _bfs(g.adjacency, source).index(best), best
+    return source, _bfs(g.adjacency, (source,))[0].index(best), best
 
 
 def _expected_radius_bound(g) -> int:
@@ -167,7 +169,7 @@ def test_small_graphs_match_oracle(case):
 
 class _Work:
     """The traversals of one measured call, by source, the vertices its
-    ``_ball`` calls reach, and the vertices both kernels reach."""
+    bounded runs reach, and the vertices every run reaches."""
 
     def __init__(self):
         self.sources: list = []
@@ -175,7 +177,7 @@ class _Work:
         self.reached = 0
 
     def __call__(self, fn, g) -> int:
-        """Run ``fn(g)`` and return its ``_bfs`` and ``_ball`` runs."""
+        """Run ``fn(g)`` and return its ``_bfs`` runs."""
         self.sources = []
         self.ball_vertices = 0
         self.reached = 0
@@ -185,33 +187,27 @@ class _Work:
 
 @pytest.fixture
 def bfs_runs(monkeypatch):
-    """Counts every ``_bfs`` and ``_ball`` call as a run, and the vertices each
-    reaches, while the test runs, through each burnkit module's binding of the
-    two kernels.  A run is recorded by its source, or by its tuple of sources
-    when a ball grows from several."""
+    """Counts every ``_bfs`` call as a run, and the vertices each reaches,
+    while the test runs, through each burnkit module's binding of the kernel.
+    A run is recorded by its source, or by its tuple of sources when it
+    starts from several; the vertices of a bounded run also count as ball
+    vertices."""
     work = _Work()
-    bfs, ball = graph._bfs, graph._ball
+    bfs = graph._bfs
 
-    def counting_bfs(adjacency, source):
-        work.sources.append(source)
-        row = bfs(adjacency, source)
-        work.reached += len(row) - row.count(UNREACHED)
-        return row
-
-    def counting_ball(adjacency, sources, radius):
+    def counting_bfs(adjacency, sources, radius=None):
         sources = tuple(sources)
         work.sources.append(sources[0] if len(sources) == 1 else sources)
-        reached = ball(adjacency, sources, radius)
-        work.ball_vertices += len(reached)
+        dist, reached = bfs(adjacency, sources, radius)
+        if radius is not None:
+            work.ball_vertices += len(reached)
         work.reached += len(reached)
-        return reached
+        return dist, reached
 
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "burnkit"]
     for module in modules:
         if vars(module).get("_bfs") is bfs:
             monkeypatch.setattr(module, "_bfs", counting_bfs)
-        if vars(module).get("_ball") is ball:
-            monkeypatch.setattr(module, "_ball", counting_ball)
     return work
 
 
@@ -262,6 +258,23 @@ def test_exact_search_spends_no_quadratic_work_before_the_budget(bfs_runs):
     assert bfs_runs(_exact_at_budget_zero, path_graph(1000)) <= 4
     # a budget of 0 enters no node, so it builds no ball table and no refuter
     assert n_ball == bfs_runs.ball_vertices == 0
+
+
+LOWER_BOUND_RUNS = {
+    # the graph, and the most runs its lower bound may make
+    "isolated-50": (from_edge_list(50, []), 2),
+    "spider-forest": (gen_spider_forest([2, 3, 4, 5]), 2),
+    "pg-gadget": (permutation_graph(gen_pg_gadget(validate_d3p([4, 5, 6]))[0]), 2),
+    "two-cycles": (from_edge_list(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)]), 0),
+}
+
+
+@pytest.mark.parametrize("name", LOWER_BOUND_RUNS)
+def test_lower_bound_sweeps_every_tree_at_once(name, bfs_runs):
+    # one double sweep from a source in every tree component, not one per
+    # tree, and none when no component is a tree
+    g, most = LOWER_BOUND_RUNS[name]
+    assert bfs_runs(exact.lower_bound, g) <= most, bfs_runs.sources
 
 
 SEARCH_BUDGET = 2000

@@ -412,6 +412,42 @@ class TestLowerBound:
             g = random_graph(rng, n, rng.random())
             assert lower_bound(g) <= burning_number_exact(g).k
 
+    @staticmethod
+    def networkx_lower_bound(n, edges) -> int:
+        """The component count, ⌈√n⌉ on a path forest, and ⌈√(D + 1)⌉ for the
+        diameter D of each tree component, from networkx."""
+        nx = pytest.importorskip("networkx")
+        h = nx.Graph(edges)
+        h.add_nodes_from(range(n))
+        parts = [h.subgraph(c) for c in nx.connected_components(h)]
+        bound = len(parts)
+        if nx.is_forest(h) and max(d for _, d in h.degree) <= 2:
+            bound = max(bound, math.isqrt(n - 1) + 1)
+        for part in parts:
+            if nx.is_tree(part):
+                bound = max(bound, math.isqrt(nx.diameter(part)) + 1)
+        return bound
+
+    @given(small_edge_lists)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_networkx_on_small_graphs(self, case):
+        n, edges = case
+        assert lower_bound(from_edge_list(n, edges)) == self.networkx_lower_bound(n, edges)
+
+    def test_matches_networkx_on_forests(self):
+        # several trees under shuffled labels: the sweep covers every tree
+        rng = random.Random(29)
+        for _ in range(60):
+            n, edges = 0, []
+            for _ in range(rng.randint(1, 6)):
+                tree = random_tree(rng, rng.randint(1, 15))
+                edges += [(u + n, v + n) for u, v in tree.edges()]
+                n += tree.n
+            label = list(range(n))
+            rng.shuffle(label)
+            edges = [(label[u], label[v]) for u, v in edges]
+            assert lower_bound(from_edge_list(n, edges)) == self.networkx_lower_bound(n, edges), edges
+
 
 class TestUpperBoundRadius:
     def test_complete_graph(self):

@@ -169,20 +169,46 @@ class TestNeighborhood:
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
-    def test_matches_bfs_ball_and_is_monotone(self, seed):
+    def test_matches_networkx_ball_and_is_monotone(self, seed):
+        nx = pytest.importorskip("networkx")
         rng = random.Random(seed)
         n = rng.randint(1, 12)
         g = random_graph(rng, n, rng.random())
         v = rng.randrange(n)
-        dist = bfs_distances(g, v)
+        h = nx.Graph(g.edges())
+        h.add_nodes_from(range(n))
+        dist = nx.single_source_shortest_path_length(h, v)
         previous = set()
         for i in range(n + 2):
             ball = neighborhood(g, {v}, i)
-            assert ball == {u for u in range(n) if dist[u] <= i}
+            assert ball == {u for u, d in dist.items() if d <= i}
             assert previous <= ball
             previous = ball
-        component = {u for u in range(n) if dist[u] < math.inf}
-        assert previous == component
+        assert previous == set(dist)
+
+
+class TestBfs:
+    """The one breadth-first kernel against networkx's multi-source distances."""
+
+    @given(small_edge_lists, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_networkx_multi_source_distances(self, case, data):
+        nx = pytest.importorskip("networkx")
+        n, edges = case
+        g = from_edge_list(n, edges)
+        sources = data.draw(st.lists(st.integers(0, n - 1), max_size=5), label="sources")
+        radius = data.draw(st.none() | st.integers(-1, n + 1), label="radius")
+        dist, reached = graph._bfs(g.adjacency, sources, radius)
+        h = nx.Graph(edges)
+        h.add_nodes_from(range(n))
+        expected = nx.multi_source_dijkstra_path_length(h, set(sources), cutoff=radius) if sources else {}
+        assert dist == [expected.get(v, graph.UNREACHED) for v in range(n)]
+        # every vertex with a distance exactly once, nearest first, the sources
+        # first as given, repeats dropped
+        assert len(reached) == len(set(reached)) and set(reached) == set(expected)
+        assert [dist[v] for v in reached] == sorted(dist[v] for v in reached)
+        unique = list(dict.fromkeys(sources))
+        assert reached[: len(unique)] == unique
 
 
 class TestDiameterPath:

@@ -345,8 +345,9 @@ def _ratio(value) -> tuple[int, int]:
     reads it: the same value, or RejectedInputError with the same message.
 
     Fraction's grammar allows space and a sign only before a numerator, and
-    ``int`` reads every numerator that ends in a digit as Fraction would, so
-    integers and ``int/int`` strings skip its regex; every other string, a
+    ``int`` reads every numerator that ends in a digit as Fraction would once
+    ``str.lstrip`` has taken the space off (``int`` keeps U+001C to U+001F),
+    so integers and ``int/int`` strings skip its regex; every other string, a
     zero denominator included, goes through Fraction.
     """
     try:
@@ -356,7 +357,7 @@ def _ratio(value) -> tuple[int, int]:
                 if denominator.isdecimal() and numerator[-1:].isdecimal():
                     d = int(denominator)
                     if d:
-                        n = int(numerator)
+                        n = int(numerator.lstrip())
                         g = math.gcd(n, d)
                         return n // g, d // g
             elif value.lstrip("+-").isdecimal():

@@ -591,6 +591,7 @@ class TestRationalTokens:
     @example("-12/18")
     @example(" +3/4\n")
     @example("1_000/1_0")
+    @example("\x1c0/1")
     @example("1.5")
     @example("-2.5E+4300")
     @example("1e-4300")

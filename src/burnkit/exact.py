@@ -78,7 +78,8 @@ def upper_bound_radius(G: Graph) -> int:
     one plain BFS per undecided vertex.
     """
     comps = components(G)
-    radii = (_EccentricityBounds(G.adjacency, sorted(comp)).radius() for comp in comps)
+    # a one-vertex component has radius 0 and needs no run
+    radii = (_EccentricityBounds(G.adjacency, sorted(comp)).radius() for comp in comps if len(comp) > 1)
     return max(radii, default=0) + len(comps)
 
 

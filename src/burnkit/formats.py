@@ -4,7 +4,12 @@ Edge-list text: first line ``n m``, then m lines ``u v`` (0-based).  ``#``
 starts a comment, blank lines are skipped.  Interval, permutation, and disk
 inputs are one record per line: ``start end``, one permutation entry, and
 ``x y r`` respectively, all accepting rationals like ``3/2`` or ``1.5``.
-JSON is emitted canonically (sorted keys) so equal inputs give equal bytes.
+JSON is emitted canonically (sorted keys) so equal inputs give equal bytes:
+``dumps`` writes exactly the bytes of ``json.dumps(record, sort_keys=True,
+indent=2)`` plus a newline.  Before Python 3.13 it has ``json``'s C encoder
+write them, one call per container of scalars; where that encoder is
+missing, and from 3.13 on, where ``json.dumps`` indents in C itself, it
+calls ``json.dumps``.
 
 Every parser refuses an input of more than ``_VERTEX_CAP`` vertices (the
 edge-list header's n, or the number of records) with a ParseError that
@@ -13,7 +18,10 @@ names the cap, before it builds the graph or its coordinates.
 
 from __future__ import annotations
 
+import functools
 import json
+import sys
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Iterable
 
 from .burning import BurnOutcome
@@ -215,7 +223,67 @@ def firefight_to_dot(G: Graph, run: FirefightRun) -> str:
 
 
 def dumps(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(record, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+
+    Before Python 3.13, ``json`` encodes in pure Python once ``indent`` is
+    set.  So ``_write`` lays out the containers, and each container whose
+    values are all scalars is written by one call to the C encoder that
+    ``json`` uses without ``indent``, the indentation folded into its item
+    separator.  ``json.dumps`` writes the record where ``json`` has no C
+    encoder, and from 3.13 on, where its C encoder writes the indentation
+    itself and is the faster.  A circular record raises RecursionError from
+    ``_write``, not ``json``'s ValueError.
+    """
+    if c_make_encoder is None or sys.version_info >= (3, 13):
+        return json.dumps(record, sort_keys=True, indent=2) + "\n"
+    return _write(record, 0) + "\n"
+
+
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_refuse = json.JSONEncoder().default  # TypeError: Object of type X is not JSON serializable
+
+
+@functools.cache
+def _layout(depth: int):
+    """For a container ``depth`` indents in: the C encoder of its items
+    (sorted keys, ``": "`` after a key, and between items a comma, a newline
+    and the items' indentation), the newline and indentation before its
+    first item, and those before its closing bracket."""
+    inner = "\n" + "  " * (depth + 1)
+    encoder = c_make_encoder(None, _refuse, encode_basestring_ascii, None, ": ", "," + inner, True, False, True)
+    return encoder, inner, "\n" + "  " * depth
+
+
+def _scalar(value) -> str:
+    return "".join(_layout(0)[0](value, 0))
+
+
+def _key(key) -> str:
+    """A dict key as ``json`` writes it: a string, or the quoted text of a scalar."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return f'"{_scalar(key)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _write(value, depth: int) -> str:
+    """``value`` as ``json.dumps(..., sort_keys=True, indent=2)`` writes it
+    ``depth`` indents in."""
+    is_dict = isinstance(value, dict)
+    if not (is_dict or isinstance(value, (list, tuple))):
+        return _scalar(value)
+    if not value:
+        return "{}" if is_dict else "[]"
+    encoder, inner, outer = _layout(depth)
+    if _SCALARS.issuperset(map(type, value.values() if is_dict else value)):
+        text = "".join(encoder(value, 0))
+        return f"{text[0]}{inner}{text[1:-1]}{outer}{text[-1]}"
+    if is_dict:
+        items = [f"{_key(k)}: {_write(v, depth + 1)}" for k, v in sorted(value.items())]
+        return f"{{{inner}{(',' + inner).join(items)}{outer}}}"
+    items = [_write(v, depth + 1) for v in value]
+    return f"[{inner}{(',' + inner).join(items)}{outer}]"
 
 
 def burn_outcome_record(outcome: BurnOutcome) -> dict:

@@ -520,9 +520,11 @@ def _disk_edges(ratios: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
     else:
         keys = frame
         disks = [(x, y, r, 1) for x, y, r in zip(frame[0::3], frame[1::3], frame[2::3])]
-    xs, rs = keys[0::3], keys[2::3]
+    xs, ys, rs = keys[0::3], keys[1::3], keys[2::3]
     edges = []
     for a, b in _overlaps([x - r for x, r in zip(xs, rs)], [x + r for x, r in zip(xs, rs)]):
+        if abs(ys[a] - ys[b]) > rs[a] + rs[b]:
+            continue  # the y-extents miss
         xa, ya, ra, da = disks[a]
         xb, yb, rb, db = disks[b]
         dx, dy, reach = xa * db - xb * da, ya * db - yb * da, ra * db + rb * da
@@ -535,8 +537,10 @@ def disk_graph(D: DiskArrangement) -> Graph:
     """Edge wherever two closed disks intersect (tangency counts).
 
     Two disks meet only if their x-extents ``[x - r, x + r]`` do, since a
-    shared point's x lies in both; so only the pairs that ``_overlaps`` finds
-    among the x-extents are tested, each by one exact integer comparison.
+    shared point's x lies in both, and likewise their y-extents; so only the
+    pairs that ``_overlaps`` finds among the x-extents are tested, a pair
+    whose centres lie further apart in y than the sum of the radii is
+    dropped, and the others are tested by one exact integer comparison.
 
     A disk is held as ``(X, Y, R, d)``: its coordinates times d, so that all
     three are ints.  Two disks meet iff

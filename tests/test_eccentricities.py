@@ -381,6 +381,15 @@ def test_builders_check_their_graph_once(build, validations):
     assert validations == [g.n]
 
 
+def test_isolated_vertices_take_no_bfs(bfs_runs):
+    # a one-vertex component has radius 0: no bounding run, and no dense row
+    g = from_edge_list(50, [])
+    assert bfs_runs(upper_bound_radius, g) == 0
+    assert upper_bound_radius(g) == 50
+    # the other components of a graph still take theirs
+    assert 0 < bfs_runs(upper_bound_radius, from_edge_list(50, [(0, 1), (1, 2)])) <= 3
+
+
 def test_cycles_take_one_bfs_per_vertex_at_most(bfs_runs):
     # every bounding run decides its own source, and the fallback one open vertex
     # per BFS, so the bound needs at most n runs and diameter_path two more rows

@@ -1,7 +1,11 @@
+import enum
+import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from burnkit import ParseError, disk_graph, interval_graph, simulate
 from burnkit import formats
@@ -165,6 +169,116 @@ class TestDot:
         run = verify_firefighter(g, 0, [1])
         dot = firefight_to_dot(g, run)
         assert 'role="protected"' in dot and 'role="saved"' in dot and 'role="burned"' in dot
+
+
+def _reference(record) -> str:
+    return json.dumps(record, sort_keys=True, indent=2) + "\n"
+
+
+def _written(record) -> str:
+    """The C-encoder route of ``dumps``: the one it takes before Python 3.13."""
+    return formats._write(record, 0) + "\n"
+
+
+def _outcome(emit, record):
+    """What ``emit`` writes, or the type of the error it raises."""
+    try:
+        return emit(record)
+    except Exception as exc:
+        return type(exc)
+
+
+_SCALAR_VALUES = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+
+
+def _records(keys):
+    """Nested lists, tuples and dicts of scalars, the dicts keyed by ``keys``."""
+    return st.recursive(
+        _SCALAR_VALUES,
+        lambda children: st.lists(children, max_size=5)
+        | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(keys, children, max_size=5),
+        max_leaves=30,
+    )
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+_EXAMPLES = [
+    # empty containers at every depth
+    {},
+    [],
+    {"a": {}, "b": [], "c": [[]], "d": [{}], "e": {"f": {"g": [[], {}]}}},
+    [[[[]]], [{}], {"x": []}],
+    # tuples
+    {"t": (1, 2), "u": ((1, "a"), ()), "v": ({"w": (3,)},)},
+    # True next to 1, bool and int subclasses
+    {"flags": [True, 1, False, 0], "mixed": [1, True, None, [0, False]]},
+    {"level": _Level.LOW, "levels": [_Level.LOW, 2], "nested": [[_Level.LOW], {"x": _Level.LOW}]},
+    # big ints and the floats json spells its own way
+    {"big": 2**70, "neg": -(2**70), "list": [2**70, -1, 0]},
+    {"floats": [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1e300, 5e-324, 0.1]},
+    {"nan": float("nan"), "inner": {"inf": float("inf"), "neg_zero": -0.0}, "xs": [[-0.0]]},
+    # strings that need escaping
+    {"text": ["é", "日本", "\U0001f600", "\ud800", '"', "\\", "\x00\x1f\n\t\r\x7f", "</script>"]},
+    {"é": 1, '"q"': [2], "a\\b": {"\n": None}, "\x01": []},
+    # interval-style [str, str] pairs, as the ig certificates hold them
+    {"intervals": [["1/2", "3/2"], ["-7/3", "0"], ["5", "11/2"]], "kind": "ig"},
+    # scalars at the top and lists that mix scalars with containers
+    "top",
+    7,
+    None,
+    [1, [2], {"a": 3}, None, "s", [[4, [5]]]],
+]
+
+
+class TestDumps:
+    """``dumps`` writes exactly ``json.dumps(record, sort_keys=True, indent=2)``
+    and a newline, whichever route it takes."""
+
+    @pytest.mark.parametrize("record", _EXAMPLES, ids=range(len(_EXAMPLES)))
+    def test_examples_match_json(self, record):
+        assert dumps(record) == _written(record) == _reference(record)
+
+    @given(_records(st.text()))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_json(self, record):
+        assert dumps(record) == _written(record) == _reference(record)
+
+    @given(_records(st.integers() | st.floats() | st.booleans() | st.none() | st.text(max_size=2)))
+    @settings(max_examples=300, deadline=None)
+    def test_any_scalar_keys_match_json_or_its_error(self, record):
+        # keys of types that do not sort against each other raise TypeError in both
+        assert _outcome(_written, record) == _outcome(dumps, record) == _outcome(_reference, record)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {1: "a", 2: [3], 10: {"b": 4}},
+            {2: {1: [], 10: 1}, 10: 1},
+            {1.5: [1], True: [None], None: [2]},
+            {1: 1, "a": 2},
+            {"a": {1: [1], "b": [2]}},
+            {(1, 2): 1},
+            {"a": [1], (1, 2): [2]},
+            {"a": {1, 2}},
+            {"a": [Fraction(1, 2)]},
+            {"a": [[Fraction(1, 2)]]},
+        ],
+    )
+    def test_int_keys_and_refused_values_match_json_or_its_error(self, record):
+        assert _outcome(_written, record) == _outcome(dumps, record) == _outcome(_reference, record)
+
+    @given(_records(st.text()))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_json_without_the_c_encoder(self, record):
+        expected = _reference(record)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(formats, "c_make_encoder", None)
+            mp.setattr(json.encoder, "c_make_encoder", None)
+            assert dumps(record) == expected
 
 
 class TestRecords:

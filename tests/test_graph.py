@@ -634,7 +634,36 @@ class TestRationalTokens:
             IntervalSet.from_pairs([(token, "2e4300")])
 
 
+@st.composite
+def _touching_arrangements(draw):
+    """Disks, each free or placed from an earlier one along a rational unit
+    direction: tangent, or one unit nearer or further, the unit's denominator
+    small or past the frame's cap."""
+    disks = []
+    for _ in range(draw(st.integers(1, 14))):
+        unit = Fraction(1, draw(st.sampled_from((1, 2, 3, 7) + _BIG_DENOMINATORS)))
+        if disks and draw(st.integers(0, 3)):
+            x, y, r = draw(st.sampled_from(disks))
+            s = draw(st.integers(1, 12)) * unit
+            dx, dy = draw(st.sampled_from(_DIRECTIONS))
+            reach = r + s + draw(st.sampled_from((0, unit, -unit)))
+            disks.append((x + reach * dx, y + reach * dy, s))
+        else:
+            x, y = (Fraction(draw(st.integers(-30, 30)), draw(st.integers(1, 4))) for _ in "xy")
+            disks.append((x, y, Fraction(draw(st.integers(1, 12)), draw(st.integers(1, 4)))))
+    return DiskArrangement(tuple(disks))
+
+
 class TestDiskGraph:
+    @given(_touching_arrangements())
+    @example(DiskArrangement.from_triples([(0, 0, 1), (0, 2, 1), (0, "-2000000000000000000001/1000000000000000000000", 1)]))
+    @example(DiskArrangement.from_triples([(0, 0, 3), (4, 5, 2), ("1/3", "-20/3", "11/3")]))
+    @settings(max_examples=300, deadline=None)
+    def test_y_extent_filter_matches_all_pairs_reference(self, D):
+        # stacked tangent in y, a hair apart past the frame, and diagonal pairs
+        # whose y-extents meet though the disks do not
+        assert disk_graph(D).edges() == _exact_disk_edges(D)
+
     def test_sweep_matches_all_pairs_reference(self):
         rng = random.Random(41)
         arrangements = [_random_arrangement(rng) for _ in range(400)]

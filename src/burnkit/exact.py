@@ -2,8 +2,9 @@
 
 Two engines: a permutation-enumeration oracle for tiny graphs, and an
 iterative-deepening depth-first search with ball-coverage pruning that
-handles larger instances; on forests, a radius-cover refuter skips the
-depths below the optimum first.  Both return a verified witness sequence.
+handles larger instances; on forests, a radius-cover search takes its
+place, refuting the depths below the optimum and turning the first cover
+it finds into the witness.  Both return a verified witness sequence.
 """
 
 from __future__ import annotations
@@ -45,42 +46,69 @@ def _ball_masks(G: Graph, k: int) -> list[list[int]]:
     return masks[:k]
 
 
+def _tree_diameter(G: Graph, trees: list[frozenset[int]]) -> int:
+    """The largest diameter among ``trees``, tree components of two or more
+    vertices, by one double sweep: a run from each tree's smallest vertex,
+    then one from each tree's farthest vertex.  Each tree holds one source
+    of a run, so its distances are those of its own sweep."""
+    first, _ = _bfs(G.adjacency, [min(tree) for tree in trees])
+    second, _ = _bfs(G.adjacency, [max(tree, key=first.__getitem__) for tree in trees])
+    return max(second)
+
+
+def _is_tree(G: Graph, comp: frozenset[int]) -> bool:
+    """A component with |E| = |V| - 1, so 2|V| - 2 edge ends."""
+    return sum(len(G.adjacency[v]) for v in comp) == 2 * len(comp) - 2
+
+
 def lower_bound(G: Graph) -> int:
     """Max of the component count, the square-root law for path forests, and
     the square-root of each tree component's diameter-path order.
 
-    One double sweep finds every tree's diameter: a run from each tree's
-    smallest vertex, then one from each tree's farthest vertex.  Each tree
-    holds one source of a run, so its distances are those of its own sweep.
+    The diameters come from one double sweep over every tree of two or more
+    vertices (see ``_tree_diameter``); a one-vertex tree gives 1, which the
+    component count already reaches.
     """
     comps = components(G)
     bound = len(comps)
     # a path forest: max degree 2 and acyclic, so every component has |E| = |V| - 1
     if all(len(neighbors) <= 2 for neighbors in G.adjacency) and G.edge_count == G.n - len(comps):
         bound = max(bound, _ceil_sqrt(G.n))
-    # a tree has |V| - 1 edges, so 2|V| - 2 edge ends
-    trees = [comp for comp in comps if sum(len(G.adjacency[v]) for v in comp) == 2 * len(comp) - 2]
+    trees = [comp for comp in comps if len(comp) > 1 and _is_tree(G, comp)]
     if trees:
-        first, _ = _bfs(G.adjacency, [min(tree) for tree in trees])
-        second, _ = _bfs(G.adjacency, [max(tree, key=first.__getitem__) for tree in trees])
-        bound = max(bound, _ceil_sqrt(max(second) + 1))
+        bound = max(bound, _ceil_sqrt(_tree_diameter(G, trees) + 1))
     return bound
 
 
 def upper_bound_radius(G: Graph) -> int:
     """Radius bound: worst component radius plus the number of components.
 
-    A component's radius is the least eccentricity among its vertices.  It
-    comes from bounding eccentricities with a few BFS runs (see
-    ``graph._EccentricityBounds``), which stop once the least lower bound in the
-    component equals its least upper bound.  On a vertex-transitive component
-    the bounds do not close, and after a few runs the fallback finishes with
-    one plain BFS per undecided vertex.
+    A component's radius is the least eccentricity among its vertices.  Three
+    kinds of component have it without a bounding run: a single vertex has
+    radius 0; a tree of diameter D has radius ceil(D / 2), and one double
+    sweep gives the largest D over all trees at once (see ``_tree_diameter``);
+    a cycle, a component whose every degree is 2, has radius floor(|C| / 2).
+    Any other component bounds eccentricities with a few BFS runs (see
+    ``graph._EccentricityBounds``), which stop once the least lower bound in
+    the component equals its least upper bound.  On a vertex-transitive
+    component the bounds do not close, and after a few runs the fallback
+    finishes with one plain BFS per undecided vertex.
     """
     comps = components(G)
-    # a one-vertex component has radius 0 and needs no run
-    radii = (_EccentricityBounds(G.adjacency, sorted(comp)).radius() for comp in comps if len(comp) > 1)
-    return max(radii, default=0) + len(comps)
+    radius = 0
+    trees = []
+    for comp in comps:
+        if len(comp) == 1:
+            continue
+        if _is_tree(G, comp):
+            trees.append(comp)
+        elif all(len(G.adjacency[v]) == 2 for v in comp):  # connected and 2-regular: a cycle
+            radius = max(radius, len(comp) // 2)
+        else:
+            radius = max(radius, _EccentricityBounds(G.adjacency, sorted(comp)).radius())
+    if trees:
+        radius = max(radius, (_tree_diameter(G, trees) + 1) // 2)
+    return radius + len(comps)
 
 
 def burning_number_bruteforce(G: Graph, cap: int = 9) -> ExactResult:
@@ -234,7 +262,8 @@ class _ForestCover:
     around u covers lies in ball(a, r), where a is u's ancestor at distance
     r, or the root when u is shallower (the exchange argument for tree
     centres, Kariv & Hakimi 1979).  So a node branches only on which
-    remaining radius covers u.
+    remaining radius covers u.  A cover it finds keeps the centre it chose
+    for each radius, and ``_repair`` turns those into a burning sequence.
     Three rules prune: packing (uncovered vertices picked deepest first, each
     more than 2·r_max from the earlier picks, need a ball each), dominance (a
     radius that leaves what a smaller one leaves is skipped) and a memo of
@@ -279,32 +308,74 @@ class _ForestCover:
             uncovered &= ~self._mask(self.vertex[uncovered.bit_length() - 1], reach)
         return False
 
-    def _covers(self, uncovered: int, radii: int) -> bool:
+    def _covers(self, uncovered: int, radii: int) -> dict[int, int] | None:
+        """The centre of each radius used to cover ``uncovered`` with balls of
+        the ``radii`` (a bit per radius), or None when they cannot."""
         if not uncovered:
-            return True
+            return {}
         if (uncovered, radii) in self.failed or self._packs(uncovered, radii):
-            return False
+            return None
         u = self.vertex[uncovered.bit_length() - 1]
-        rests: dict[int, int] = {}  # what each radius leaves -> the smallest such radius
+        # what each radius leaves -> the smallest such radius and its centre
+        rests: dict[int, tuple[int, int]] = {}
         centre, climbed = u, 0
         for r in range(radii.bit_length()):
             if radii >> r & 1:
                 while climbed < r and self.parent[centre] >= 0:
                     centre, climbed = self.parent[centre], climbed + 1
-                rests.setdefault(uncovered & ~self._mask(centre, r), r)
-        for rest, r in reversed(rests.items()):  # the largest radius first
+                rests.setdefault(uncovered & ~self._mask(centre, r), (r, centre))
+        for rest, (r, centre) in reversed(rests.items()):  # the largest radius first
             if self.nodes == self.budget:  # never true for a budget of None
                 raise _OutOfBudget
             self.nodes += 1
-            if self._covers(rest, radii & ~(1 << r)):
-                return True
+            centres = self._covers(rest, radii & ~(1 << r))
+            if centres is not None:
+                centres[r] = centre
+                return centres
         self.failed.add((uncovered, radii))
-        return False
+        return None
 
-    def covers(self, k: int) -> bool:
-        """Balls of radii k - 1, ..., 0 cover the forest; each node entered adds
-        one to ``nodes``, and one more than ``budget`` raises ``_OutOfBudget``."""
+    def covers(self, k: int) -> dict[int, int] | None:
+        """A cover of the forest by balls of radii k - 1, ..., 0, as the centre of
+        each radius it uses (a radius it needs no ball of is missing), or None
+        when there is none.  Each node entered adds one to ``nodes``, and one
+        more than ``budget`` raises ``_OutOfBudget``."""
         return self._covers(self.full, (1 << k) - 1)
+
+
+def _repair(G: Graph, k: int, centres: dict[int, int]) -> tuple[int, ...]:
+    """A burning sequence of length k from ``centres``, a cover of G by balls
+    of radii k - 1, ..., 0 (radius -> centre), at the least k that has one.
+
+    Source i takes the centre of radius k - 1 - i.  A missing centre, or one
+    already burned when it would be placed, gives way to the smallest
+    unburned vertex.  Nothing is lost: an already burned centre lies in
+    ball(x_t, i - t - 1) for an earlier source x_t, so its ball of radius
+    k - 1 - i lies inside ball(x_t, k - 1 - t), which x_t covers.  An unburned
+    vertex always remains, since otherwise fewer than k sources would burn G.
+    The fire spreads as in ``simulate``: placement, then one hop from the
+    vertices burned in the round before.
+    """
+    burned = [False] * G.n
+    lowest = 0  # every vertex below it is burned
+    frontier: list[int] = []
+    sequence = []
+    for r in range(k - 1, -1, -1):
+        source = centres.get(r)
+        if source is None or burned[source]:
+            while burned[lowest]:
+                lowest += 1
+            source = lowest
+        sequence.append(source)
+        burned[source] = True
+        reached = [source]
+        for v in frontier:
+            for u in G.adjacency[v]:
+                if not burned[u]:
+                    burned[u] = True
+                    reached.append(u)
+        frontier = reached
+    return tuple(sequence)
 
 
 def burning_number_exact(
@@ -328,20 +399,20 @@ def burning_number_exact(
     covered, so legality never enters the scan.  Only a node that survives
     both sorts its legal candidates by gain.
 
-    On a forest (|E| = n minus the component count) a refuter first asks, at
-    each depth k, whether balls of radii k - 1, ..., 0 can cover the graph,
-    branching only on which radius covers the deepest uncovered vertex (see
-    ``_ForestCover``).  A depth it refutes is skipped; at the first one it
-    does not, the search above runs unchanged, so k and the witness are the
-    ones it finds without the refuter.  Its nodes count in ``nodes_explored``.
+    On a forest (|E| = n minus the component count) the search above never
+    runs.  A refuter asks instead, at each depth k, whether balls of radii
+    k - 1, ..., 0 can cover the graph, branching only on which radius covers
+    the deepest uncovered vertex (see ``_ForestCover``).  The first depth it
+    does not refute is b(G), and the centres of its cover become the witness
+    (see ``_repair``).  ``nodes_explored`` counts the refuter's nodes.
 
-    One node budget covers every depth and both searches, so
-    ``nodes_explored`` never exceeds it: a search that needs more raises
-    NodeBudgetError.  A budget of 0 raises it with ``lower_bound(G)`` before
-    anything is built.  A negative budget is rejected.  ``workers`` must
-    be at least 1 and is otherwise ignored: the search is pure Python, so
-    threads cannot speed it up, and the result and node count never depended
-    on it.
+    One node budget covers every depth, so ``nodes_explored`` never exceeds
+    it: a search that needs more raises NodeBudgetError.  A budget of 0
+    raises it with ``lower_bound(G)`` before anything is built.  A negative
+    budget is rejected.  ``workers`` must be at least 1 and is otherwise
+    ignored: the search is pure Python, so threads cannot speed it up, and
+    the result and node count never depended on it.  The witness is checked
+    by ``simulate`` before it is returned.
     """
     if G.n == 0:
         raise RejectedInputError("burning number undefined for the empty graph")
@@ -351,21 +422,25 @@ def burning_number_exact(
         raise RejectedInputError(f"node budget must be >= 0, got {node_budget}")
     if node_budget == 0:
         raise NodeBudgetError(0, lower_bound(G), upper_bound_radius(G))
-    forest = G.edge_count == G.n - len(components(G))
-    cover = _ForestCover(G, node_budget) if forest else None
-    nodes = 0
-    for k in range(lower_bound(G), G.n + 1):
-        try:
-            if cover is not None:
-                feasible = cover.covers(k)
-                nodes = cover.nodes
-                if not feasible:
-                    continue
-            search = _Search(G, k, None if node_budget is None else node_budget - nodes)
-            found = search.run((), 0)
-        except _OutOfBudget:
-            raise NodeBudgetError(node_budget, k, upper_bound_radius(G)) from None
-        nodes += search.nodes
-        if found is not None:
-            return ExactResult(k, simulate(G, found).schedule, nodes)
-    raise AssertionError("a burning sequence of length n always exists")
+    k = lower_bound(G)
+    try:
+        if G.edge_count == G.n - len(components(G)):  # a forest
+            cover = _ForestCover(G, node_budget)
+            while (centres := cover.covers(k)) is None:
+                k += 1
+            found, nodes = _repair(G, k, centres), cover.nodes
+        else:
+            nodes = 0
+            while True:  # at k = n every vertex is a legal source, so a search settles
+                search = _Search(G, k, None if node_budget is None else node_budget - nodes)
+                found = search.run((), 0)
+                nodes += search.nodes
+                if found is not None:
+                    break
+                k += 1
+    except _OutOfBudget:
+        raise NodeBudgetError(node_budget, k, upper_bound_radius(G)) from None
+    outcome = simulate(G, found)
+    if not (outcome.valid and outcome.complete):
+        raise AssertionError(f"witness {found} does not burn the graph in {k} rounds")
+    return ExactResult(k, outcome.schedule, nodes)

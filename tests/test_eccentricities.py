@@ -7,8 +7,8 @@ constant number of BFS runs, whatever n, exact search spends no n² work
 before its node budget and ranks candidates only at the few search nodes
 that pass its capacity prune, its ball table needs no traversal at all, its
 forest refuter builds only the balls it uses, and approx3 runs one bounded
-traversal per source.  The lower bound sweeps every tree component at
-once, in two runs.  The graph builders check each graph once, without
+traversal per source.  Both bounds sweep every tree component at once, in
+two runs, and the radius bound needs none on cycles.  The graph builders check each graph once, without
 ``Graph``'s row check.  Every ``burn`` walks its components once and
 computes its bounds through ``exact``'s public names.
 """
@@ -62,7 +62,8 @@ DIAMETER_RUNS = 8
 that bound eccentricities (the first from vertex 0), one from the source and
 one from the target."""
 RADIUS_RUNS = 4
-"""BFS runs of ``upper_bound_radius`` on paths, grids and ig gadgets."""
+"""BFS runs of ``upper_bound_radius`` on paths, grids and ig gadgets; a path
+takes the two of the tree sweep."""
 
 
 def _families() -> dict:
@@ -313,7 +314,7 @@ def _refute_to_the_optimum(g) -> exact._ForestCover:
     does not refute."""
     cover = exact._ForestCover(g, None)
     k = exact.lower_bound(g)
-    while not cover.covers(k):
+    while cover.covers(k) is None:
         k += 1
     return cover
 
@@ -381,6 +382,74 @@ def test_builders_check_their_graph_once(build, validations):
     assert validations == [g.n]
 
 
+def _union(rng: random.Random, graphs):
+    """The disjoint union of ``graphs`` under shuffled labels."""
+    n, edges = 0, []
+    for g in graphs:
+        edges += [(u + n, v + n) for u, v in g.edges()]
+        n += g.n
+    label = list(range(n))
+    rng.shuffle(label)
+    return from_edge_list(n, [(label[u], label[v]) for u, v in edges])
+
+
+def _random_forest(rng: random.Random):
+    return _union(rng, [random_tree(rng, rng.randint(1, 40)) for _ in range(rng.randint(1, 8))])
+
+
+FORESTS = {
+    # each family at about n and 4n vertices, where it scales
+    "path": [path_graph(250), path_graph(1000)],
+    "spider": [gen_spider(6, 4), gen_spider(24, 4), gen_spider(5, 5), gen_spider(20, 5)],
+    "spider-forest": [gen_spider_forest([2, 3, 4, 5])],
+    "random": [_random_forest(random.Random(seed)) for seed in range(20)],
+    "matching-8000": [from_edge_list(8000, [(2 * i, 2 * i + 1) for i in range(4000)])],
+}
+
+
+@pytest.mark.parametrize("family", FORESTS)
+def test_radius_bound_sweeps_every_forest_in_two_runs(family, bfs_runs):
+    # a tree of diameter D has radius ceil(D / 2), and one double sweep finds
+    # the largest D over all trees at once: no run per tree and no dense row
+    # per component, so the 8,000-vertex matching costs two runs, not 4,000
+    for g in FORESTS[family]:
+        assert bfs_runs(upper_bound_radius, g) <= 2, g.n
+    assert upper_bound_radius(FORESTS["matching-8000"][0]) == 1 + 4000
+
+
+def test_radius_bound_takes_no_bfs_on_cycles(bfs_runs):
+    # a cycle of n vertices has radius floor(n / 2)
+    rng = random.Random(73)
+    graphs = [cycle_graph(n) for n in (3, 40, 100, 400)]
+    graphs += [_union(rng, [cycle_graph(rng.randint(3, 50)) for _ in range(rng.randint(2, 6))]) for _ in range(10)]
+    graphs.append(_union(rng, [cycle_graph(9), from_edge_list(3, [])]))  # and isolated vertices
+    for g in graphs:
+        assert bfs_runs(upper_bound_radius, g) == 0, g.n
+        assert upper_bound_radius(g) == _expected_radius_bound(g), g.n
+
+
+def test_radius_bound_matches_oracle_on_the_atlas():
+    nx = pytest.importorskip("networkx")
+    for h in nx.graph_atlas_g():  # all 1253 graphs on at most 7 vertices
+        g = from_edge_list(h.number_of_nodes(), h.edges())
+        assert upper_bound_radius(g) == _expected_radius_bound(g), list(h.edges())
+
+
+def test_radius_bound_matches_oracle_on_mixed_unions():
+    # trees, cycles and other components in one graph: the worst radius can
+    # come from any kind
+    rng = random.Random(79)
+    kinds = [
+        lambda: random_tree(rng, rng.randint(1, 25)),
+        lambda: cycle_graph(rng.randint(3, 25)),
+        lambda: random_connected_graph(rng, rng.randint(2, 15), rng.uniform(0.1, 0.5)),
+        lambda: grid_graph(rng.randint(1, 4), rng.randint(1, 6)),
+    ]
+    for _ in range(80):
+        g = _union(rng, [rng.choice(kinds)() for _ in range(rng.randint(1, 6))])
+        assert upper_bound_radius(g) == _expected_radius_bound(g), g.edges()
+
+
 def test_isolated_vertices_take_no_bfs(bfs_runs):
     # a one-vertex component has radius 0: no bounding run, and no dense row
     g = from_edge_list(50, [])
@@ -391,11 +460,12 @@ def test_isolated_vertices_take_no_bfs(bfs_runs):
 
 
 def test_cycles_take_one_bfs_per_vertex_at_most(bfs_runs):
-    # every bounding run decides its own source, and the fallback one open vertex
-    # per BFS, so the bound needs at most n runs and diameter_path two more rows
+    # the bound needs no run on a cycle; in diameter_path every bounding run
+    # decides its own source, and the fallback one open vertex per BFS, so it
+    # needs at most n runs and two more rows
     for n in (40, 100, 400):  # smaller cycles are in FAMILIES
         g = cycle_graph(n)
-        assert bfs_runs(upper_bound_radius, g) <= n
+        assert bfs_runs(upper_bound_radius, g) == 0
         assert bfs_runs(diameter_path, g) <= n + 2
 
 

@@ -17,7 +17,7 @@ from burnkit import (
     upper_bound_radius,
     verify,
 )
-from burnkit.exact import _ball_masks, _ForestCover, _OutOfBudget, _Search
+from burnkit.exact import _ball_masks, _ForestCover, _OutOfBudget, _repair, _Search
 from burnkit.graph import components
 from burnkit.hardness import gen_dk_gadget, gen_ig_gadget, gen_pg_gadget, gen_spider, validate_d3p
 
@@ -246,16 +246,47 @@ def _depth_outcome(search):
         return "out of budget", search.nodes
 
 
+def _is_forest(g) -> bool:
+    return g.edge_count == g.n - len(components(g))
+
+
+def _refuter_and_search_nodes(g) -> tuple[int, int]:
+    """On a forest, the nodes of the refuter from ``lower_bound(g)`` through
+    the first depth it does not refute, and those of ``_Search`` at that
+    depth.  Their sum is what an engine that searched the first feasible
+    depth again would report."""
+    cover = _ForestCover(g, None)
+    k = lower_bound(g)
+    while cover.covers(k) is None:
+        k += 1
+    search = _Search(g, k, None)
+    assert search.run((), 0) is not None
+    return cover.nodes, search.nodes
+
+
+def _assert_forest_settles(g, k):
+    """The engine gives k on the forest g with a witness that burns g in k
+    rounds, and counts only the refuter's nodes, fewer than the refuter and
+    ``_Search`` together."""
+    result = burning_number_exact(g)
+    assert result.k == k, g.edges()
+    assert len(result.witness.sources) == k and verify(g, result.witness.sources), g.edges()
+    refuter, search = _refuter_and_search_nodes(g)
+    assert result.nodes_explored == refuter < refuter + search, g.edges()
+
+
 def _assert_matches_reference(g):
     """Depth by depth from ``lower_bound(g)``, ``_Search`` and the ranking
     ``_ReferenceSearch`` give equal outcomes at budgets 0, 1, N // 2, N and
     None, where N is the reference's node count at that depth; a depth where
     the reference needs more than REFERENCE_CAP is compared up to the cap and
-    ends the comparison.  Where the reference settles, the engine gives its k
-    and witness.  On a graph with a cycle no refuter runs, so the engine also
-    gives ``reference_exact``'s node count or budget message, at budgets 0,
-    1, N // 2, N and None for the engine's N; the bounded budgets come first,
-    so a search that prunes a solution fails fast."""
+    ends the comparison.  Where the reference settles on a graph with a
+    cycle, the engine gives its k and witness, and also ``reference_exact``'s
+    node count or budget message, at budgets 0, 1, N // 2, N and None for the
+    engine's N; the bounded budgets come first, so a search that prunes a
+    solution fails fast.  On a forest no ``_Search`` runs: the engine gives
+    the reference's k with a verified witness of its own
+    (``_assert_forest_settles``)."""
     k = lower_bound(g)
     while True:
         witness, nodes = _depth_outcome(_ReferenceSearch(g, k, REFERENCE_CAP))
@@ -266,11 +297,14 @@ def _assert_matches_reference(g):
         if capped:
             break
         if witness is not None:
+            if _is_forest(g):
+                _assert_forest_settles(g, k)
+                return
             result = burning_number_exact(g)
             assert (result.k, result.witness.sources) == (k, witness), g.edges()
             break
         k += 1
-    if g.edge_count == g.n - len(components(g)):  # a forest, where the refuter runs
+    if _is_forest(g):  # capped, and the refuter settles it
         return
     full = _reference_outcome(g, REFERENCE_CAP)
     if isinstance(full, str):
@@ -284,9 +318,10 @@ def _assert_matches_reference(g):
 class TestMatchesRankingReference:
     """The threshold scan prunes exactly the nodes that ranking every
     candidate and reading the best gain pruned, so at every depth the search
-    order, witness, node count and running out stay ``_ReferenceSearch``'s;
-    the engine keeps ``reference_exact``'s k and witness, and off forests,
-    where no refuter runs, its node counts and budget messages too."""
+    order, witness, node count and running out stay ``_ReferenceSearch``'s.
+    Off forests the engine keeps ``reference_exact``'s k, witness, node
+    counts and budget messages; on forests, where the refuter's cover is the
+    witness, its k."""
 
     @pytest.mark.parametrize("s", range(1, 8))
     def test_spiders(self, s):
@@ -305,12 +340,9 @@ class TestMatchesRankingReference:
         _assert_matches_reference(from_edge_list(n, edges))
 
 
-SLOW_REFERENCE_SPIDERS = {
-    (7, 7): (8, (0, 1, 2, 3, 4, 5, 6, 7)),
-    (7, 8): (8, (0, 2, 11, 20, 29, 38, 47, 56)),
-}
-"""``reference_exact``'s k and witness where it explores 723,167 and 712,520
-nodes (6-12 s each), recorded from it."""
+SLOW_REFERENCE_SPIDERS = {(7, 7): 8, (7, 8): 8}
+"""``reference_exact``'s k where it explores 723,167 and 712,520 nodes
+(6-12 s each), recorded from it."""
 
 
 def _forests_of_the_atlas():
@@ -333,8 +365,10 @@ def _random_forest(rng: random.Random, n: int):
 
 
 class TestForestCover:
-    """The forest refuter decides b(G) <= k exactly, so the engine keeps the
-    reference's k and witness on forests while it skips the depths below."""
+    """The forest refuter decides b(G) <= k exactly, and at the least k it
+    does not refute, its cover is the witness: the engine keeps the
+    reference's k on forests with a verified witness of its own, and counts
+    only the refuter's nodes."""
 
     def test_feasibility_matches_bruteforce_on_the_atlas(self):
         forests = _forests_of_the_atlas()
@@ -343,30 +377,71 @@ class TestForestCover:
             b = burning_number_bruteforce(g).k
             deepening = _ForestCover(g, None)  # one refuter for every k, as the engine keeps it
             for k in range(1, g.n + 1):
-                assert _ForestCover(g, None).covers(k) == (k >= b), (g.edges(), k)
-                assert deepening.covers(k) == (k >= b), (g.edges(), k)
+                assert (_ForestCover(g, None).covers(k) is not None) == (k >= b), (g.edges(), k)
+                centres = deepening.covers(k)
+                assert (centres is not None) == (k >= b), (g.edges(), k)
+                if k == b:
+                    assert verify(g, _repair(g, k, centres)), (g.edges(), centres)
+            _assert_forest_settles(g, b)
+
+    def test_cover_centres_cover_the_forest(self):
+        # every radius the cover uses has its centre's ball, and together
+        # they cover V; a radius it needs no ball of is missing
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(89)
+        for _ in range(100):
+            g = _random_forest(rng, rng.randint(1, 15))
+            h = nx.Graph(g.edges())
+            h.add_nodes_from(range(g.n))
+            k = burning_number_exact(g).k
+            centres = _ForestCover(g, None).covers(k)
+            assert set(centres) <= set(range(k))
+            covered = set()
+            for r, centre in centres.items():
+                covered |= set(nx.single_source_shortest_path_length(h, centre, cutoff=r))
+            assert covered == set(range(g.n)), (g.edges(), centres)
+
+    def test_repair_replaces_missing_and_burned_centres(self):
+        # on P5 the radius-0 centre 2 burns in round 2, by spread from 1, so
+        # round 3 takes the smallest unburned vertex, 4
+        assert _repair(path_graph(5), 3, {2: 1, 1: 3, 0: 2}) == (1, 3, 4)
+        # on P3 one radius-1 ball covers all, and the missing radius-0 centre
+        # becomes 0, unburned in round 2
+        assert _repair(path_graph(3), 2, {1: 1}) == (1, 0)
+        assert verify(path_graph(5), (1, 3, 4)) and verify(path_graph(3), (1, 0))
 
     @pytest.mark.parametrize("s", range(1, 8))
     def test_spiders_match_the_reference(self, s):
         for r in range(9):
             g = gen_spider(s, r)
-            expected = SLOW_REFERENCE_SPIDERS.get((s, r)) or reference_exact(g)[:2]
-            result = burning_number_exact(g)
-            assert (result.k, result.witness.sources) == expected, (s, r)
+            k = SLOW_REFERENCE_SPIDERS.get((s, r)) or reference_exact(g)[0]
+            _assert_forest_settles(g, k)
 
     def test_random_forests_match_the_reference(self):
         rng = random.Random(83)
         for _ in range(300):
             g = _random_forest(rng, rng.randint(1, 15))
-            k, witness, _ = reference_exact(g)
-            result = burning_number_exact(g)
-            assert (result.k, result.witness.sources) == (k, witness), g.edges()
+            _assert_forest_settles(g, reference_exact(g)[0])
 
     def test_bench_spiders_settle_within_their_budget(self):
         # the bench's exact jobs, which exhausted 2000 nodes without the refuter
         optima = {(4, 10): 7, (5, 8): 7, (6, 6): 7, (6, 7): 7, (7, 7): 8}
         for legs, k in optima.items():
             assert burning_number_exact(gen_spider(*legs), node_budget=2000).k == k, legs
+
+    @pytest.mark.parametrize(
+        "kind, x, q",
+        [("dk", [6, 7, 9], 20), ("dk", [10, 11, 18], 38), ("pg", [10, 11, 18], None)],
+        ids=["dk-6,7,9-q20", "dk-10,11,18-q38", "pg-10,11,18"],
+    )
+    def test_gadgets_settle_at_their_claimed_optimum(self, kind, x, q):
+        # the refuter proves claimed_k - 1 infeasible and its cover at
+        # claimed_k is the witness; _Search found none within this budget
+        inst = validate_d3p(x)
+        cert = gen_dk_gadget(inst, q)[1] if kind == "dk" else gen_pg_gadget(inst)[1]
+        result = burning_number_exact(cert.graph, node_budget=300_000)
+        assert result.k == cert.claimed_k
+        assert verify(cert.graph, result.witness.sources)
 
 
 class TestCoveringLemma:

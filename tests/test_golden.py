@@ -7,6 +7,9 @@ three ``--output`` renderings.  To record the corpus afresh (only when a
 change is meant to alter CLI output):
 
     PYTHONPATH=src python tests/test_golden.py --record
+
+It lists the keys it added, removed and changed, and counts the rest, which
+kept their bytes.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import os
 import shutil
 import sys
 import tempfile
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -196,12 +199,26 @@ def test_golden_case(argv, expected, tmp_path):
 
 
 def _record() -> None:
+    """Record every case, then print the ids of the keys added, removed and
+    changed against the previous recording, and how many stayed identical."""
+    previous = json.loads(EXPECTED.read_text()) if EXPECTED.exists() else {}
     recorded = {}
-    for argv in CASES:
-        with tempfile.TemporaryDirectory() as scratch:
-            recorded[_case_id(argv)] = _run(argv, Path(scratch))
+    with redirect_stderr(io.StringIO()):  # the error messages of the failing cases
+        for argv in CASES:
+            with tempfile.TemporaryDirectory() as scratch:
+                recorded[_case_id(argv)] = _run(argv, Path(scratch))
     EXPECTED.write_text(json.dumps(recorded, sort_keys=True, indent=1) + "\n")
     print(f"recorded {len(recorded)} cases into {EXPECTED}")
+    changed = sorted(key for key in recorded.keys() & previous.keys() if recorded[key] != previous[key])
+    for label, keys in (
+        ("added", sorted(recorded.keys() - previous.keys())),
+        ("removed", sorted(previous.keys() - recorded.keys())),
+        ("changed", changed),
+    ):
+        print(f"{label}: {len(keys)}")
+        for key in keys:
+            print(f"  {key}")
+    print(f"identical: {len(recorded.keys() & previous.keys()) - len(changed)}")
 
 
 if __name__ == "__main__":

@@ -74,10 +74,10 @@ def _cases() -> list[list[str]]:
         ["burn", "--engine", "exact", "sp47.edges"],
         ["burn", "--engine", "exact", "sp55.edges"],
         ["burn", "--engine", "exact", "grid56.edges"],
-        ["burn", "--engine", "exact", "--node-budget", "121", "sp47.edges"],
-        ["burn", "--engine", "exact", "--node-budget", "122", "sp47.edges"],
-        ["burn", "--engine", "exact", "--node-budget", "58", "sp55.edges"],
-        ["burn", "--engine", "exact", "--node-budget", "59", "sp55.edges"],
+        ["burn", "--engine", "exact", "--node-budget", "115", "sp47.edges"],
+        ["burn", "--engine", "exact", "--node-budget", "116", "sp47.edges"],
+        ["burn", "--engine", "exact", "--node-budget", "52", "sp55.edges"],
+        ["burn", "--engine", "exact", "--node-budget", "53", "sp55.edges"],
         ["burn", "--engine", "exact", "--node-budget", "63", "grid56.edges"],
         ["burn", "--engine", "exact", "--node-budget", "64", "grid56.edges"],
         ["burn", "--engine", "bruteforce", "example.edges"],

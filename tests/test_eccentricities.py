@@ -8,8 +8,8 @@ before its node budget and ranks candidates only at the few search nodes
 that pass its capacity prune, its ball table needs no traversal at all, its
 forest refuter builds only the balls it uses, and approx3 runs one bounded
 traversal per source.  Both bounds sweep every tree component at once, in
-two runs, and the radius bound needs none on cycles.  The graph builders check each graph once, without
-``Graph``'s row check.  Every ``burn`` walks its components once and
+two runs, and the radius bound needs none on cycles.  The graph builders
+check each graph once, without ``Graph``'s row check.  Every ``burn`` walks its components once and
 computes its bounds through ``exact``'s public names.
 """
 
@@ -263,7 +263,7 @@ def test_exact_search_spends_no_quadratic_work_before_the_budget(bfs_runs):
 
 LOWER_BOUND_RUNS = {
     # the graph, and the most runs its lower bound may make
-    "isolated-50": (from_edge_list(50, []), 2),
+    "isolated-50": (from_edge_list(50, []), 0),
     "spider-forest": (gen_spider_forest([2, 3, 4, 5]), 2),
     "pg-gadget": (permutation_graph(gen_pg_gadget(validate_d3p([4, 5, 6]))[0]), 2),
     "two-cycles": (from_edge_list(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)]), 0),
@@ -273,7 +273,7 @@ LOWER_BOUND_RUNS = {
 @pytest.mark.parametrize("name", LOWER_BOUND_RUNS)
 def test_lower_bound_sweeps_every_tree_at_once(name, bfs_runs):
     # one double sweep from a source in every tree component, not one per
-    # tree, and none when no component is a tree
+    # tree, and none when no component is a tree of two or more vertices
     g, most = LOWER_BOUND_RUNS[name]
     assert bfs_runs(exact.lower_bound, g) <= most, bfs_runs.sources
 
@@ -421,7 +421,8 @@ def test_radius_bound_takes_no_bfs_on_cycles(bfs_runs):
     # a cycle of n vertices has radius floor(n / 2)
     rng = random.Random(73)
     graphs = [cycle_graph(n) for n in (3, 40, 100, 400)]
-    graphs += [_union(rng, [cycle_graph(rng.randint(3, 50)) for _ in range(rng.randint(2, 6))]) for _ in range(10)]
+    for _ in range(10):
+        graphs.append(_union(rng, [cycle_graph(rng.randint(3, 50)) for _ in range(rng.randint(2, 6))]))
     graphs.append(_union(rng, [cycle_graph(9), from_edge_list(3, [])]))  # and isolated vertices
     for g in graphs:
         assert bfs_runs(upper_bound_radius, g) == 0, g.n

@@ -435,8 +435,8 @@ class TestForestCover:
         ids=["dk-6,7,9-q20", "dk-10,11,18-q38", "pg-10,11,18"],
     )
     def test_gadgets_settle_at_their_claimed_optimum(self, kind, x, q):
-        # the refuter proves claimed_k - 1 infeasible and its cover at
-        # claimed_k is the witness; _Search found none within this budget
+        # the refuter proves claimed_k - 1 infeasible, and its cover at
+        # claimed_k is the witness
         inst = validate_d3p(x)
         cert = gen_dk_gadget(inst, q)[1] if kind == "dk" else gen_pg_gadget(inst)[1]
         result = burning_number_exact(cert.graph, node_budget=300_000)

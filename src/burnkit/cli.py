@@ -12,6 +12,11 @@ Input formats (``--format``):
   intervals    one interval per line as ``start end`` (rationals: 3/2, 1.5)
   permutation  one entry of the permutation of 1..k per line
   disks        one disk per line as ``x y r`` (rationals)
+
+Parsing: a job's argv is parsed once, by the parser of the subcommand it
+names.  The full parser, which would find that subparser and hand it the
+rest, runs only when there is no such subcommand or arguments are left over,
+so that its usage and error messages are the ones printed.
 """
 
 from __future__ import annotations
@@ -474,10 +479,17 @@ def cmd_bench(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; ``parse_args`` keeps no state."""
-    parser = argparse.ArgumentParser(prog="burnkit", description=__doc__)
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser, and subcommand name -> the subparser it holds."""
+    # the description is the docstring up to its note on parsing
+    description = __doc__ and __doc__.partition("\nParsing:")[0]
+    parser = argparse.ArgumentParser(prog="burnkit", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_format=True):
@@ -549,11 +561,29 @@ def build_parser() -> argparse.ArgumentParser:
         func=cmd_bench, x1=None, trace=False, clique=None, workers=1, node_budget=None, vertex_cap=9
     )
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    subparser = _parsers()[1].get(argv[0]) if argv else None
+    if subparser is not None:
+        args, extras = subparser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one job; returns its exit code (argparse exits 2 on a usage error).
+
+    The subcommand's own parser reads the arguments after the subcommand
+    name, so a job's argv is parsed once; the full parser would scan it to
+    find the subcommand and then hand the rest to that same subparser.  The
+    full parser runs instead when ``argv[0]`` names no subcommand or the
+    subparser leaves arguments over: there it is the one that reports the
+    error, so every usage, help and error message is the full parser's.
+    """
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -444,6 +444,8 @@ def gen_dk_gadget(
         half_steps += 1
     hub_clearance = Fraction(half_steps, 2)  # ring disks sit at this radius + 1
     hub_radius = hub_clearance + Fraction(1, 2)
+    ring_rho = float(hub_clearance) + 1.0
+    unit = Fraction(1)
 
     attached = _forest_orders(inst) + [0] * (q - n - k)
     disks: list[tuple[Fraction, Fraction, Fraction]] = [
@@ -460,12 +462,12 @@ def gen_dk_gadget(
         previous = 0
         arm_ids = []
         for t in range(length):
-            rho = float(hub_clearance) + 1.0 + 1.5 * t
+            rho = ring_rho + 1.5 * t
             disks.append(
                 (
                     Fraction(round(ux * rho * _SCALE), _SCALE),
                     Fraction(round(uy * rho * _SCALE), _SCALE),
-                    Fraction(1),
+                    unit,
                 )
             )
             intended_edges.append((previous, next_id))

@@ -83,7 +83,11 @@ def _search_strategies(G: Graph, s: int, max_placements: int) -> FirefightRun:
 
     Depth-first over placement prefixes, ranked by the least key (final
     burned count, placements, sequence); once no spread is possible, longer
-    sequences change nothing and are skipped.
+    sequences change nothing and are skipped.  A prefix is not extended once
+    (burned so far, placements + 1) is no less than the best key's first two
+    parts: each extension burns at least as much with one more firefighter,
+    and the search meets sequences in lexicographic order, so an extension
+    that only ties the best comes after it.
     """
     adjacency = G.adjacency
     best = None
@@ -96,6 +100,8 @@ def _search_strategies(G: Graph, s: int, max_placements: int) -> FirefightRun:
         key = (len(final), len(sequence), sequence)
         best = key if best is None else min(best, key)
         if len(sequence) >= max_placements or len(final) == len(burned):
+            return
+        if (len(burned), len(sequence) + 1) >= best[:2]:
             return
         for vertex in range(G.n):
             if vertex not in burned and vertex not in protected:

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import random
 
+import pytest
 from hypothesis import strategies as st
 
 from burnkit import (
     Graph,
     NodeBudgetError,
     SplitPartition,
+    cli,
     from_edge_list,
     lower_bound,
     upper_bound_radius,
@@ -254,3 +258,54 @@ def reference_exact(G: Graph, node_budget: int | None = None) -> tuple[int, tupl
         if found is not None:
             return k, found, nodes
     raise AssertionError("a burning sequence of length n always exists")
+
+
+def reference_firefight(G: Graph, s: int, max_placements: int) -> tuple[int, ...]:
+    """The placements of the best firefighting strategy from ``s``, with at
+    most ``max_placements`` firefighters, by the least key (final burned
+    count, placements, sequence) over every prefix the depth-first search
+    meets, without pruning.
+
+    The reference for the pruned search in ``burnkit.processes``.
+    """
+    best = None
+
+    def spread(burned: set[int], blocked: set[int]) -> set[int]:
+        return {u for v in burned for u in G.adjacency[v]} - burned - blocked
+
+    def dfs(sequence: tuple[int, ...], burned: set[int], protected: set[int]) -> None:
+        nonlocal best
+        final = set(burned)
+        while grown := spread(final, protected):
+            final |= grown
+        key = (len(final), len(sequence), sequence)
+        best = key if best is None else min(best, key)
+        if len(sequence) >= max_placements or len(final) == len(burned):
+            return
+        for vertex in range(G.n):
+            if vertex not in burned and vertex not in protected:
+                blocked = protected | {vertex}
+                dfs(sequence + (vertex,), burned | spread(burned, blocked), blocked)
+
+    dfs((), {s}, set())
+    return best[2]
+
+
+def run_main(argv: list[str], reference: bool = False) -> tuple[object, str, str]:
+    """(exit code, stdout, stderr) of ``cli.main(argv)``, where argparse's
+    usage error exits with its own code.
+
+    With ``reference``, main parses as the full parser alone does:
+    ``build_parser().parse_args(argv)``, then ``args.func(args)``.  The
+    reference for main's single parse by the subcommand's parser.
+    """
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        if reference:
+            patch.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue()

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 from burnkit.cli import _BURN_ENGINES, build_parser, main
 from burnkit.formats import format_edge_list
 
-from helpers import fig_example_graph, path_graph
+from helpers import fig_example_graph, path_graph, run_main
 
 
 def run_cli(*args) -> tuple[int, str]:
@@ -661,6 +662,55 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         loaded = set(proc.stdout.split())
         assert loaded - set(sys.stdlib_module_names) == {"burnkit", "__main__"}
+
+
+class TestSingleParse:
+    """main parses with the subcommand's parser alone, and answers every
+    argv byte for byte as the full parser does."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["-h"],
+            ["blaze", "{p9}"],
+            ["burn", "-h"],
+            ["burn", "{p9}", "--bogus"],
+            ["burn", "{p9}", "--engine", "fastest"],
+            ["burn", "{p9}", "--node-budget", "lots"],
+            ["firefight", "{p9}"],
+            ["burn", "--engine", "path", "--", "{p9}"],
+            ["burn", "--", "--engine", "path", "{p9}"],
+            ["--", "burn", "{p9}"],
+        ],
+    )
+    def test_answers_as_the_full_parser_does(self, p9, argv):
+        argv = [arg.format(p9=p9) for arg in argv]
+        assert run_main(argv) == run_main(argv, reference=True)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["burn", "{p9}", "--engine", "path"],
+            ["verify", "{p9}", "--sequence", "2,6,8"],
+            ["gen", "path", "--n", "4", "--out", "{tmp}/p4"],
+            ["firefight", "{p9}", "--origin", "0"],
+            ["percolate", "{p9}", "--seed-set", "0,8", "--threshold", "2"],
+            ["bench", "--sizes", "4", "--engines", "path"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_a_job_is_parsed_once(self, monkeypatch, p9, tmp_path, argv):
+        calls = []
+        parse = argparse.ArgumentParser.parse_known_args
+
+        def counted(parser, *args, **kwargs):
+            calls.append(parser.prog)
+            return parse(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        code, _ = run_cli(*(arg.format(p9=p9, tmp=tmp_path) for arg in argv))
+        assert code == 0 and calls == [f"burnkit {argv[0]}"]
 
 
 class TestBench:

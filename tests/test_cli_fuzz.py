@@ -1,12 +1,12 @@
-"""Property test over ``cli.main``: any argv over small files of any format
+"""Property tests over ``cli.main``: any argv over small files of any format
 ends in a documented exit code, with a message on every failure, and never
-in a traceback."""
+in a traceback; and it answers byte for byte as the full parser would."""
 
 import argparse
 import contextlib
-import io
 import json
 import tempfile
+import types
 from pathlib import Path
 
 import pytest
@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from burnkit import cli, formats
+from helpers import run_main
 
 CAP = 7
 """The vertex cap under test.  Every graph a run reads or builds is this
@@ -100,8 +101,7 @@ CERTIFICATES = st.one_of(
 
 
 def _subcommands() -> dict[str, argparse.ArgumentParser]:
-    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    return sub.choices
+    return cli._parsers()[1]
 
 
 @st.composite
@@ -141,13 +141,10 @@ def _write(path: Path, content) -> None:
     path.write_bytes(content if isinstance(content, bytes) else content.encode())
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    data=st.data(),
-    certificate=CERTIFICATES,
-    env_budget=st.sampled_from([None, "", "0", "1", "9", "500", "lots", "-3"]),
-)
-def test_every_invocation_ends_in_a_documented_exit(data, certificate, env_budget):
+@contextlib.contextmanager
+def _drawn_job(data, certificate, env_budget):
+    """A drawn argv over a scratch directory holding its drawn input and
+    certificate files, under the test's vertex cap and the drawn node budget."""
     with tempfile.TemporaryDirectory() as scratch, pytest.MonkeyPatch.context() as patch:
         workdir = Path(scratch)
         argv = data.draw(invocations(workdir), label="argv")
@@ -159,15 +156,29 @@ def test_every_invocation_ends_in_a_documented_exit(data, certificate, env_budge
             patch.delenv(cli.NODE_BUDGET_ENV, raising=False)
         else:
             patch.setenv(cli.NODE_BUDGET_ENV, env_budget)
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:  # argparse's usage error
-                code = exc.code
-    message = stderr.getvalue()
+        yield argv
+
+
+ENV_BUDGETS = st.sampled_from([None, "", "0", "1", "9", "500", "lots", "-3"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), certificate=CERTIFICATES, env_budget=ENV_BUDGETS)
+def test_every_invocation_ends_in_a_documented_exit(data, certificate, env_budget):
+    with _drawn_job(data, certificate, env_budget) as argv:
+        code, stdout, message = run_main(argv)
     assert code in {0, 2, 3, 4, 5}, (argv, message)
     # an invalid sequence or firefighter run (exit 2) is a verdict: its report
     # is on stdout; every other failure says why on stderr
-    assert code == 0 or message.strip() or (code == 2 and stdout.getvalue()), argv
+    assert code == 0 or message.strip() or (code == 2 and stdout), argv
     assert "Traceback" not in message
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), certificate=CERTIFICATES, env_budget=ENV_BUDGETS)
+def test_every_invocation_answers_as_the_full_parser_does(data, certificate, env_budget):
+    """Exit code, stdout and stderr, usage errors and ``--bogus`` included."""
+    with _drawn_job(data, certificate, env_budget) as argv, pytest.MonkeyPatch.context() as patch:
+        # a clock that stands still, so that ``--timings`` reports repeat
+        patch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+        assert run_main(argv) == run_main(argv, reference=True), argv

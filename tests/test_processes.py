@@ -11,9 +11,17 @@ from burnkit import (
     from_edge_list,
     verify_firefighter,
 )
+from burnkit import processes
 from burnkit.hardness import gen_spider
 
-from helpers import complete_graph, path_graph, random_graph, random_split_graph
+from helpers import (
+    complete_graph,
+    grid_graph,
+    path_graph,
+    random_graph,
+    random_split_graph,
+    reference_firefight,
+)
 
 
 def naive_firefight(G, s, placements):
@@ -160,6 +168,41 @@ class TestFirefightPkFree:
             run = firefight_bruteforce(g, s)
             limit = longest_induced_path_from(g, s)
             assert len(run.placements) <= max(limit - 1, 0)
+
+
+class TestStrategySearch:
+    def test_matches_the_unpruned_reference_on_the_atlas(self):
+        nx = pytest.importorskip("networkx")
+        for h in nx.graph_atlas_g():
+            if not 0 < h.number_of_nodes() <= 6:
+                continue
+            g = from_edge_list(h.number_of_nodes(), h.edges())
+            for s in range(g.n):
+                brute = firefight_bruteforce(g, s)
+                assert brute.placements == reference_firefight(g, s, g.n), (h.edges(), s)
+                for k in (3, 4, 5):  # at most 1, 2 and 3 firefighters
+                    run = firefight_pk_free(g, s, k)
+                    assert run.placements == reference_firefight(g, s, k - 2), (h.edges(), s, k)
+
+    @pytest.mark.parametrize(
+        "graph, origin, calls",
+        [(grid_graph(3, 3), 0, 234), (gen_spider(4, 2), 1, 36)],
+        ids=["grid3x3-corner", "spider4x2-arm"],
+    )
+    def test_prefixes_that_cannot_win_are_not_extended(self, monkeypatch, graph, origin, calls):
+        """Without the prune the search spreads 519 and 294 times on these."""
+        count = 0
+        spread = processes._spread
+
+        def counted(*args):
+            nonlocal count
+            count += 1
+            return spread(*args)
+
+        monkeypatch.setattr(processes, "_spread", counted)
+        run = firefight_bruteforce(graph, origin)
+        assert run.placements == reference_firefight(graph, origin, graph.n)
+        assert count == calls
 
 
 class TestBootstrapPercolation:

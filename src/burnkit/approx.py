@@ -33,14 +33,13 @@ vertices it reaches; a round costs O(live + their records).
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import RejectedInputError
 from .graph import Graph, _bfs, _check_vertices
 
 
-@dataclass(frozen=True)
-class ApproxResult:
+class ApproxResult(Record):
     sequence: tuple[int, ...]
     k: int
     implied_lower: int

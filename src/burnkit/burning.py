@@ -8,14 +8,12 @@ round k leaves no vertex unburned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import InvalidSequenceError, RejectedInputError
 from .graph import Graph, _bfs, _check_vertices
 
 
-@dataclass(frozen=True)
-class BurnSchedule:
+class BurnSchedule(Record):
     """Fire sources plus the per-vertex round and cause of burning.
 
     ``burn_step[v]`` is the 1-based round in which v burned (None if never);
@@ -27,8 +25,7 @@ class BurnSchedule:
     labels: tuple[str | None, ...]
 
 
-@dataclass(frozen=True)
-class BurnOutcome:
+class BurnOutcome(Record):
     valid: bool
     complete: bool
     schedule: BurnSchedule

@@ -27,9 +27,9 @@ import os
 import random
 import sys
 import time
+from collections.abc import Callable
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable
 
 from . import approx, exact, families, formats, hardness, processes
 from .burning import simulate

@@ -11,17 +11,16 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
 from operator import itemgetter
 
+from ._record import Record
 from .burning import BurnSchedule, simulate
 from .errors import NodeBudgetError, RejectedInputError, VertexCapError
 from .families import _ceil_sqrt
 from .graph import Graph, _bfs, _EccentricityBounds, components
 
 
-@dataclass(frozen=True)
-class ExactResult:
+class ExactResult(Record):
     """A proven burning number with a verified witness schedule."""
 
     k: int

@@ -8,8 +8,8 @@ optimal via their diameter path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .burning import coverage
 from .errors import NotBurnableIn3Error, RejectedInputError
 from .graph import Graph, diameter_path, neighborhood
@@ -60,8 +60,7 @@ def burn_cycle(C) -> list[int]:
     return [cycle[p % n] for p in positions]
 
 
-@dataclass(frozen=True)
-class SplitPartition:
+class SplitPartition(Record):
     """A clique/independent-set bipartition of a vertex set."""
 
     clique: frozenset[int]

@@ -21,8 +21,8 @@ from __future__ import annotations
 import functools
 import json
 import sys
+from collections.abc import Iterable
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Iterable
 
 from .burning import BurnOutcome
 from .errors import ParseError, RejectedInputError

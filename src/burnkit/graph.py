@@ -23,17 +23,16 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
+from ._record import Record
 from .errors import DisconnectedGraphError, RejectedInputError
 
 UNREACHED = -1
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Record):
     """Simple undirected graph held as sorted per-vertex neighbor tuples.
 
     Direct construction, ``Graph(n, adjacency)``, validates the rows it is
@@ -385,8 +384,7 @@ def _check_interval(start: tuple[int, int], end: tuple[int, int]) -> None:
         )
 
 
-@dataclass(frozen=True)
-class IntervalSet:
+class IntervalSet(Record):
     """Closed intervals on the line with exact rational endpoints."""
 
     intervals: tuple[tuple[Fraction, Fraction], ...]
@@ -451,8 +449,7 @@ def _interval_graph_from_rows(rows: Sequence[Sequence[str]]) -> Graph:
     return from_edge_list(len(rows), _interval_edges(ratios))
 
 
-@dataclass(frozen=True)
-class PermutationPair:
+class PermutationPair(Record):
     """The identity sequence ``1..k`` together with a permutation of it."""
 
     perm: tuple[int, ...]
@@ -491,8 +488,7 @@ def _check_radius(r: tuple[int, int]) -> None:
         raise RejectedInputError("disk radii must be strictly positive")
 
 
-@dataclass(frozen=True)
-class DiskArrangement:
+class DiskArrangement(Record):
     """Disks in the plane with exact rational centers and positive radii."""
 
     disks: tuple[tuple[Fraction, Fraction, Fraction], ...]

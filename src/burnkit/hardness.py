@@ -10,10 +10,10 @@ with a canonical optimal sequence whenever a partition solution is supplied.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
+from ._record import Record
 from .errors import BudgetError, RejectedInputError
 from .graph import (
     DiskArrangement,
@@ -31,8 +31,7 @@ _SCALE = 10**9  # denominator for rational snapshots of disk positions
 SOLVER_CAP = 12  # most elements solve_d3p_bruteforce accepts by default
 
 
-@dataclass(frozen=True)
-class D3PInstance:
+class D3PInstance(Record):
     """A distinct 3-partition input with its derived parameters.
 
     ``x`` holds 3n distinct positive integers strictly between b/4 and b/2
@@ -171,8 +170,7 @@ def gen_spider_forest(degrees: Sequence[int]) -> Graph:
 # -- certificates -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubpathSpec:
+class SubpathSpec(Record):
     """A labeled path segment of a gadget, listed end to end."""
 
     label: str
@@ -183,8 +181,7 @@ class SubpathSpec:
         return len(self.vertices)
 
 
-@dataclass(frozen=True)
-class GadgetCertificate:
+class GadgetCertificate(Record):
     """Construction metadata emitted with a generated hard instance."""
 
     kind: str

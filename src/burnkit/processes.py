@@ -8,14 +8,12 @@ r infected neighbors until a fixed point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import RejectedInputError, VertexCapError
 from .graph import Graph, _check_vertices
 
 
-@dataclass(frozen=True)
-class FirefightRun:
+class FirefightRun(Record):
     """Outcome of one firefighting simulation.
 
     ``burned_steps`` holds the cumulative burned set after each round,
@@ -132,8 +130,7 @@ def firefight_pk_free(G: Graph, s: int, k: int) -> FirefightRun:
     return _search_strategies(G, s, max_placements=k - 2)
 
 
-@dataclass(frozen=True)
-class PercolationRun:
+class PercolationRun(Record):
     seed: frozenset[int]
     threshold: int
     timeline: tuple[frozenset[int], ...]

@@ -648,20 +648,28 @@ class TestEntryPoint:
         assert json.loads(second)["sequence"][0] == 0
 
     def test_imports_only_the_standard_library(self):
-        src = Path(__file__).resolve().parent.parent / "src"
-        script = (
-            "import sys, burnkit, burnkit.cli\n"
-            "print(*sorted({name.partition('.')[0] for name in sys.modules}))"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-S", "-c", script],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-        )
-        assert proc.returncode == 0, proc.stderr
-        loaded = set(proc.stdout.split())
+        loaded = _modules_after_fresh_import()
         assert loaded - set(sys.stdlib_module_names) == {"burnkit", "__main__"}
+
+    def test_import_loads_no_code_generating_modules(self):
+        """The records build no code at import, so nothing pulls in
+        dataclasses and, through it, inspect; typing is only annotated."""
+        loaded = _modules_after_fresh_import()
+        assert not loaded & {"ast", "dataclasses", "dis", "inspect", "tokenize", "typing"}
+
+
+def _modules_after_fresh_import() -> set[str]:
+    """Top-level names in sys.modules after ``import burnkit, burnkit.cli``
+    in a fresh ``python -S`` that puts this checkout's ``src`` first."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        f"import sys; sys.path.insert(0, {str(src)!r})\n"
+        "import burnkit, burnkit.cli\n"
+        "print(*sorted({name.partition('.')[0] for name in sys.modules}))"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
 
 
 class TestSingleParse:

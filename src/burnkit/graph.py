@@ -20,7 +20,6 @@ Every breadth-first distance in burnkit comes from one private kernel,
 
 from __future__ import annotations
 
-import functools
 import math
 from bisect import bisect_right
 from collections.abc import Iterable, Sequence
@@ -76,22 +75,18 @@ class Graph(Record):
             )
             raise RejectedInputError(f"edge ({v}, {u}) lacks its mirror arc")
 
-    @functools.cached_property
+    @property
     def _components(self) -> tuple[frozenset[int], ...]:
-        """Connected components, ordered by their smallest vertex: one walk per graph."""
-        seen = [False] * self.n
-        out = []
-        for start in range(self.n):
-            if not seen[start]:
-                seen[start] = True
-                reached = [start]
-                for v in reached:  # the list grows as the search reaches vertices
-                    for u in self.adjacency[v]:
-                        if not seen[u]:
-                            seen[u] = True
-                            reached.append(u)
-                out.append(frozenset(reached))
-        return tuple(out)
+        """Connected components, ordered by their smallest vertex: one walk per
+        graph.  The walk is kept by ``object.__setattr__``, as the fields
+        are; a write into the instance ``__dict__``, as
+        ``functools.cached_property`` makes, would cost CPython the inline
+        attribute values and slow every later ``n`` or ``adjacency`` read."""
+        walked = getattr(self, "_walked", None)
+        if walked is None:
+            walked = _component_walk(self.adjacency)
+            object.__setattr__(self, "_walked", walked)
+        return walked
 
     @property
     def edge_count(self) -> int:
@@ -103,6 +98,23 @@ class Graph(Record):
     def edges(self) -> list[tuple[int, int]]:
         """All edges as ordered pairs (u, v) with u < v."""
         return [(v, u) for v in range(self.n) for u in self.adjacency[v] if v < u]
+
+
+def _component_walk(adjacency: Sequence[Sequence[int]]) -> tuple[frozenset[int], ...]:
+    """Connected components, ordered by their smallest vertex."""
+    seen = [False] * len(adjacency)
+    out = []
+    for start in range(len(adjacency)):
+        if not seen[start]:
+            seen[start] = True
+            reached = [start]
+            for v in reached:  # the list grows as the search reaches vertices
+                for u in adjacency[v]:
+                    if not seen[u]:
+                        seen[u] = True
+                        reached.append(u)
+            out.append(frozenset(reached))
+    return tuple(out)
 
 
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:

@@ -13,7 +13,6 @@ check each graph once, without ``Graph``'s row check.  Every ``burn`` walks its 
 computes its bounds through ``exact``'s public names.
 """
 
-import functools
 import io
 import random
 import sys
@@ -506,15 +505,13 @@ def _burn(engine, options, tmp_path) -> int:
 def test_burn_computes_components_once(engine, options, code, tmp_path, monkeypatch):
     # count the walk itself, wherever it is asked for
     walks = []
-    walk = graph.Graph._components.func
+    walk = graph._component_walk
 
-    def counting(g):
-        walks.append(g.n)
-        return walk(g)
+    def counting(adjacency):
+        walks.append(len(adjacency))
+        return walk(adjacency)
 
-    cached = functools.cached_property(counting)
-    cached.__set_name__(graph.Graph, "_components")
-    monkeypatch.setattr(graph.Graph, "_components", cached)
+    monkeypatch.setattr(graph, "_component_walk", counting)
     assert _burn(engine, options, tmp_path) == code
     assert walks == [BURN_INPUTS[engine].n]
 

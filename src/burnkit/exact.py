@@ -1,17 +1,16 @@
 """Exact burning-number computation and cheap bounds.
 
 Two engines: a permutation-enumeration oracle for tiny graphs, and an
-iterative-deepening depth-first search with ball-coverage pruning that
-handles larger instances; on forests, a radius-cover search takes its
-place, refuting the depths below the optimum and turning the first cover
-it finds into the witness.  Both return a verified witness sequence.
+iterative-deepening radius-cover search: at each depth k from the lower
+bound it asks whether balls of radii k - 1, ..., 0 cover the graph, and
+turns the first cover it finds into the witness.  Both return a verified
+witness sequence.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
-from operator import itemgetter
+from collections.abc import Iterable
 
 from ._record import Record
 from .burning import BurnSchedule, simulate
@@ -28,20 +27,25 @@ class ExactResult(Record):
     nodes_explored: int
 
 
+def _grown(adjacency: list[list[int]], ball: list[int]) -> list[int]:
+    """The radius-(r + 1) row of a ball table from ``ball``, its radius-r row:
+    ball(v, r + 1) is ball(v, r) joined with ball(u, r) for every neighbour
+    u, so a row costs n + 2m big-int ORs."""
+    grown = []
+    for v, neighbors in enumerate(adjacency):
+        mask = ball[v]
+        for u in neighbors:
+            mask |= ball[u]
+        grown.append(mask)
+    return grown
+
+
 def _ball_masks(G: Graph, k: int) -> list[list[int]]:
     """``masks[r][v]``: the bitmask of ball(v, r) for r < k, grown one radius
-    at a time: ball(v, r) is ball(v, r - 1) joined with ball(u, r - 1) for
-    every neighbour u, so the table costs (k - 1)(n + 2m) big-int ORs."""
-    ball = [1 << v for v in range(G.n)]
-    masks = [ball]
-    for _ in range(k - 1):
-        previous, ball = ball, []
-        for v, neighbors in enumerate(G.adjacency):
-            mask = previous[v]
-            for u in neighbors:
-                mask |= previous[u]
-            ball.append(mask)
-        masks.append(ball)
+    at a time by ``_grown``."""
+    masks = [[1 << v for v in range(G.n)]]
+    while len(masks) < k:
+        masks.append(_grown(G.adjacency, masks[-1]))
     return masks[:k]
 
 
@@ -148,140 +152,58 @@ class _OutOfBudget(Exception):
     """A search needed more nodes than its budget."""
 
 
-class _Search:
-    """Depth-first cover search for one target length k.
+class _Cover:
+    """Decides whether balls of radii k - 1, ..., 0, one each, cover V, which
+    holds exactly when b(G) <= k (Bonato, Janssen & Roshanbin 2016).
 
-    ``balls[r][v]`` is the bitmask of the radius-r ball around v, for every
-    r < k, from ``_ball_masks``: (k - 1)(n + 2m) big-int ORs, one radius at a
-    time.  By the closed form of the process, a vertex is a legal source at
-    depth d when it lies outside ball(x_t, d - t - 1) for every earlier source
-    x_t, so the legal set is the complement of one OR of table entries.
+    One run from every component's smallest vertex, its root, orders the
+    vertices, and bit i of a mask is the i-th vertex it reaches; u, the
+    uncovered vertex of highest bit, is one of the farthest from its root.
+    A node branches on which remaining radius r covers u and on the ball's
+    centre, which lies within r of u.  A cover it finds keeps the centre it
+    chose for each radius, and ``_repair`` turns those into a burning
+    sequence.  On every graph a memo of failed (uncovered, radii) states
+    prunes, and so does packing: uncovered vertices picked by falling bit,
+    each more than 2·r_max from the earlier picks, need a ball each.
 
-    Every uncovered vertex u is a legal source that covers itself, since
-    d(u, x_t) > k - t - 1 >= d - t - 1, so the best gain is >= 1.  An illegal
-    v gains nothing: d(v, x_t) <= d - t - 1 puts its ball of radius k - d - 1
-    inside the covered ball(x_t, k - t - 1).  The one prune is capacity: the
-    uncovered count exceeds the remaining balls' sizes, first uncapped, then
-    capped by the best gain.  The uncapped sum is one table lookup.  The
-    capped sum needs the best gain only to compare it with ``need``, the least
-    gain that could still cover the uncovered vertices, which is >= 1; so a
-    threshold scan of all balls by falling size decides it from coverage
-    alone, until one reaches ``need`` or the sizes, which bound every gain,
-    drop below it.  Only a node that passes both builds the legal set and
-    ranks its candidates.
-    """
+    On a forest, u's parent is its neighbour one level shallower, and every
+    uncovered vertex that some radius-r ball around u covers lies in
+    ball(a, r), where a is u's ancestor at distance r, or the root when u is
+    shallower (the exchange argument for tree centres, Kariv & Hakimi 1979).
+    So the ancestor is the only centre, a radius that leaves what a smaller
+    one leaves is skipped, and each ball mask is built on first use.
 
-    def __init__(self, G: Graph, k: int, budget: int | None):
-        self.n = G.n
-        self.k = k
-        self.budget = budget
-        self.nodes = 0
-        self.full = (1 << G.n) - 1
-        self.balls = _ball_masks(G, k)
-        self.sizes = [[ball.bit_count() for ball in table] for table in self.balls]
-        # capacity[r][g] = Σ_{r' <= r} min(g, max_ball[r']) for g <= max_ball[r]:
-        # what balls of radii 0..r cover when no gain exceeds g.  A ball grows
-        # with its radius, so max_ball rises and min(g, max_ball[r]) is g; and
-        # capacity[r][-1], the sum of max_ball[r'], is all they can ever cover.
-        self.capacity = []
-        below = [0]
-        for top in map(max, self.sizes):
-            below = [below[min(g, len(below) - 1)] + g for g in range(top + 1)]
-            self.capacity.append(below)
-        self.by_size: list[list[tuple[int, int]] | None] = [None] * k
-
-    def _largest_first(self, radius: int) -> list[tuple[int, int]]:
-        """``(|ball|, ball)`` of every radius-``radius`` ball, largest first,
-        sorted on first use: a search that stops early sorts few radii."""
-        order = self.by_size[radius]
-        if order is None:
-            entries = zip(self.sizes[radius], self.balls[radius])
-            order = self.by_size[radius] = sorted(entries, key=itemgetter(0), reverse=True)
-        return order
-
-    def _candidates(self, chosen: tuple[int, ...], covered: int) -> list[tuple[int, int]]:
-        """The legal next sources as ``(-gain, v)``, best first."""
-        depth = len(chosen)
-        burned = 0  # the vertices no source at this depth may take
-        for t, x in enumerate(chosen):
-            burned |= self.balls[depth - t - 1][x]
-        uncovered = self.full & ~covered
-        balls = self.balls[self.k - depth - 1]
-        return sorted(
-            (-(balls[v] & uncovered).bit_count(), v)
-            for v in range(self.n)
-            if not burned >> v & 1
-        )
-
-    def run(self, chosen: tuple[int, ...], covered: int) -> tuple[int, ...] | None:
-        """Extend ``chosen`` to a full-length covering sequence, or None.
-
-        ``run((), 0)`` searches the whole depth.  Every node entered below
-        ``chosen`` adds one to ``nodes``; rather than enter one more than
-        ``budget`` nodes, the search stops with ``_OutOfBudget``.
-        """
-        depth = len(chosen)
-        if depth == self.k:
-            return chosen if covered == self.full else None
-        uncovered = self.full & ~covered
-        uncovered_count = uncovered.bit_count()
-        radius = self.k - depth - 1
-        if uncovered_count > self.capacity[radius][-1]:
-            return None
-        if uncovered_count:
-            # the least best gain whose capped capacity still covers them all
-            need = bisect_left(self.capacity[radius], uncovered_count)
-            for size, ball in self._largest_first(radius):
-                if size < need:
-                    return None
-                if (ball & uncovered).bit_count() >= need:
-                    break
-            else:
-                return None
-        ranked = self._candidates(chosen, covered)
-        balls = self.balls[radius]
-        for _, v in ranked:
-            if self.nodes == self.budget:  # never true for a budget of None
-                raise _OutOfBudget
-            self.nodes += 1
-            result = self.run(chosen + (v,), covered | balls[v])
-            if result is not None:
-                return result
-        return None
-
-
-class _ForestCover:
-    """Decides on a forest whether balls of radii k - 1, ..., 0, one each, cover
-    V, which holds exactly when b(G) <= k (Bonato, Janssen & Roshanbin 2016).
-
-    One run from every component's smallest vertex, its root, gives the
-    depths, and bit i of a mask is the i-th vertex it reaches, so the deepest
-    uncovered vertex u is the highest set bit; u's parent is its neighbour
-    one level shallower.  Every uncovered vertex that some radius-r ball
-    around u covers lies in ball(a, r), where a is u's ancestor at distance
-    r, or the root when u is shallower (the exchange argument for tree
-    centres, Kariv & Hakimi 1979).  So a node branches only on which
-    remaining radius covers u.  A cover it finds keeps the centre it chose
-    for each radius, and ``_repair`` turns those into a burning sequence.
-    Three rules prune: packing (uncovered vertices picked deepest first, each
-    more than 2·r_max from the earlier picks, need a ball each), dominance (a
-    radius that leaves what a smaller one leaves is skipped) and a memo of
-    failed (uncovered, radii) states.  Ball masks are built on first use.
+    Off forests every vertex within r of u is a centre.  The balls come from
+    one table in bit order, ``balls[r][v]`` for r <= 2k - 2 (packing reads
+    radius 2·r_max), grown one radius at a time as deeper k ask for it.  A
+    branch whose rest contains another branch's rest at no larger radius is
+    dropped: a cover of the larger rest, with the other branch's ball widened
+    to the larger radius, which stays available, covers the smaller rest.
+    Capacity prunes too: the uncovered vertices outnumber the sum, over the
+    remaining radii, of the largest gain of any ball of that radius.
     """
 
     def __init__(self, G: Graph, budget: int | None):
         self.adjacency = G.adjacency
         self.budget = budget
         self.nodes = 0
-        depth, self.vertex = _bfs(self.adjacency, [min(comp) for comp in components(G)])  # bit -> vertex
-        self.parent = [-1] * G.n
-        for v in self.vertex:
-            for u in self.adjacency[v]:
-                if depth[u] > depth[v]:
-                    self.parent[u] = v
+        comps = components(G)
+        depth, self.vertex = _bfs(self.adjacency, [min(comp) for comp in comps])  # bit -> vertex
         self.bit = [0] * G.n
         for i, v in enumerate(self.vertex):
             self.bit[v] = i
+        self.forest = G.edge_count == G.n - len(comps)
+        if self.forest:
+            self.parent = [-1] * G.n
+            for v in self.vertex:
+                for u in self.adjacency[v]:
+                    if depth[u] > depth[v]:
+                        self.parent[u] = v
+        else:
+            bit = self.bit
+            self.ordered = [[bit[u] for u in self.adjacency[v]] for v in self.vertex]
+            self.balls = [[1 << i for i in range(G.n)]]
+            self.largest = [1]  # the size of each row's largest ball
         self.full = (1 << G.n) - 1
         self.masks: dict[tuple[int, int], int] = {}
         self.failed: set[tuple[int, int]] = set()
@@ -304,16 +226,32 @@ class _ForestCover:
             if not left:
                 return True
             left -= 1
-            uncovered &= ~self._mask(self.vertex[uncovered.bit_length() - 1], reach)
+            top = uncovered.bit_length() - 1
+            uncovered &= ~(self._mask(self.vertex[top], reach) if self.forest else self.balls[reach][top])
         return False
 
-    def _covers(self, uncovered: int, radii: int) -> dict[int, int] | None:
-        """The centre of each radius used to cover ``uncovered`` with balls of
-        the ``radii`` (a bit per radius), or None when they cannot."""
-        if not uncovered:
-            return {}
-        if (uncovered, radii) in self.failed or self._packs(uncovered, radii):
-            return None
+    def _short(self, uncovered: int, radii: int) -> bool:
+        """The uncovered vertices outnumber what balls of the ``radii`` can
+        gain, each at most the largest gain of its radius.  A row's scan
+        stops at a gain equal to its largest ball, which no ball beats."""
+        need = uncovered.bit_count()
+        for r in range(radii.bit_length() - 1, -1, -1):
+            if radii >> r & 1:
+                best, largest = 0, self.largest[r]
+                for ball in self.balls[r]:
+                    gain = (ball & uncovered).bit_count()
+                    if gain > best:
+                        if gain >= need:
+                            return False
+                        best = gain
+                        if gain == largest:
+                            break
+                need -= best
+        return True
+
+    def _forest_branches(self, uncovered: int, radii: int) -> Iterable[tuple[int, tuple[int, int]]]:
+        """``(rest, (radius, centre))`` for each radius that covers u by its
+        ancestor, the largest radius first."""
         u = self.vertex[uncovered.bit_length() - 1]
         # what each radius leaves -> the smallest such radius and its centre
         rests: dict[int, tuple[int, int]] = {}
@@ -323,7 +261,47 @@ class _ForestCover:
                 while climbed < r and self.parent[centre] >= 0:
                     centre, climbed = self.parent[centre], climbed + 1
                 rests.setdefault(uncovered & ~self._mask(centre, r), (r, centre))
-        for rest, (r, centre) in reversed(rests.items()):  # the largest radius first
+        return reversed(rests.items())
+
+    def _branches(self, uncovered: int, radii: int) -> list[tuple[int, tuple[int, int]]]:
+        """``(rest, (radius, centre))`` for each radius and each centre within
+        it of u that no other branch dominates, the largest radius first."""
+        top = uncovered.bit_length() - 1
+        candidates = []
+        for r in range(radii.bit_length()):
+            if radii >> r & 1:
+                row = self.balls[r]
+                near = row[top]
+                while near:
+                    c = near.bit_length() - 1
+                    near ^= 1 << c
+                    rest = uncovered & ~row[c]
+                    candidates.append((rest.bit_count(), r, rest, self.vertex[c]))
+        candidates.sort()
+        kept: list[tuple[int, tuple[int, int]]] = []
+        for _, r, rest, centre in candidates:  # a dominating branch comes first
+            for other_rest, (other_r, _) in kept:
+                if other_r <= r and not other_rest & ~rest:
+                    break
+            else:
+                kept.append((rest, (r, centre)))
+        kept.sort(key=lambda branch: -branch[1][0])
+        return kept
+
+    def _covers(self, uncovered: int, radii: int) -> dict[int, int] | None:
+        """The centre of each radius used to cover ``uncovered`` with balls of
+        the ``radii`` (a bit per radius), or None when they cannot."""
+        if not uncovered:
+            return {}
+        if (uncovered, radii) in self.failed or self._packs(uncovered, radii):
+            return None
+        if self.forest:
+            branches = self._forest_branches(uncovered, radii)
+        elif self._short(uncovered, radii):
+            return None
+        else:
+            branches = self._branches(uncovered, radii)
+        for rest, (r, centre) in branches:
             if self.nodes == self.budget:  # never true for a budget of None
                 raise _OutOfBudget
             self.nodes += 1
@@ -335,10 +313,15 @@ class _ForestCover:
         return None
 
     def covers(self, k: int) -> dict[int, int] | None:
-        """A cover of the forest by balls of radii k - 1, ..., 0, as the centre of
-        each radius it uses (a radius it needs no ball of is missing), or None
-        when there is none.  Each node entered adds one to ``nodes``, and one
-        more than ``budget`` raises ``_OutOfBudget``."""
+        """A cover of the graph by balls of radii k - 1, ..., 0, as the centre
+        of each radius it uses (a radius it needs no ball of is missing), or
+        None when there is none.  Off forests the ball table first grows to
+        radius 2k - 2.  Each node entered adds one to ``nodes``, and one more
+        than ``budget`` raises ``_OutOfBudget``."""
+        if not self.forest:
+            while len(self.balls) < 2 * k - 1:
+                self.balls.append(_grown(self.ordered, self.balls[-1]))
+                self.largest.append(max(ball.bit_count() for ball in self.balls[-1]))
         return self._covers(self.full, (1 << k) - 1)
 
 
@@ -383,27 +366,17 @@ def burning_number_exact(
     node_budget: int | None = None,
     workers: int = 1,
 ) -> ExactResult:
-    """Iterative deepening from lower_bound(G) with coverage pruning.
+    """Iterative deepening from lower_bound(G) by radius cover.
 
     Returns the same k as the brute-force oracle with some verified witness
-    (not necessarily the lexicographically smallest one).  Each depth k
-    builds one search holding the radius-r ball masks for r < k, grown one
-    radius at a time in (k - 1)(n + 2m) big-int ORs; a vertex is a legal next
-    source when it lies outside ball(x_t, depth - t - 1) for every earlier
-    source x_t.  A node checks the capacity prune before it
-    ranks anything: first the reachable sum (the uncovered count against the
-    remaining balls' largest sizes), then a threshold scan of the balls by
-    falling size for one whose gain is at least the least best gain that can
-    still cover the uncovered vertices; an illegal vertex's ball is already
-    covered, so legality never enters the scan.  Only a node that survives
-    both sorts its legal candidates by gain.
-
-    On a forest (|E| = n minus the component count) the search above never
-    runs.  A refuter asks instead, at each depth k, whether balls of radii
-    k - 1, ..., 0 can cover the graph, branching only on which radius covers
-    the deepest uncovered vertex (see ``_ForestCover``).  The first depth it
-    does not refute is b(G), and the centres of its cover become the witness
-    (see ``_repair``).  ``nodes_explored`` counts the refuter's nodes.
+    (not necessarily the lexicographically smallest one).  One search (see
+    ``_Cover``) asks at each depth k whether balls of radii k - 1, ..., 0 can
+    cover the graph, branching on which radius, and off forests which
+    centre, covers its farthest uncovered vertex; it keeps its memo and, off
+    forests, its ball table from depth to depth.  The first depth it does
+    not refute is b(G), and the centres of its cover become the witness (see
+    ``_repair``).  ``nodes_explored`` counts the search's nodes over every
+    depth.
 
     One node budget covers every depth, so ``nodes_explored`` never exceeds
     it: a search that needs more raises NodeBudgetError.  A budget of 0
@@ -422,24 +395,14 @@ def burning_number_exact(
     if node_budget == 0:
         raise NodeBudgetError(0, lower_bound(G), upper_bound_radius(G))
     k = lower_bound(G)
+    cover = _Cover(G, node_budget)
     try:
-        if G.edge_count == G.n - len(components(G)):  # a forest
-            cover = _ForestCover(G, node_budget)
-            while (centres := cover.covers(k)) is None:
-                k += 1
-            found, nodes = _repair(G, k, centres), cover.nodes
-        else:
-            nodes = 0
-            while True:  # at k = n every vertex is a legal source, so a search settles
-                search = _Search(G, k, None if node_budget is None else node_budget - nodes)
-                found = search.run((), 0)
-                nodes += search.nodes
-                if found is not None:
-                    break
-                k += 1
+        while (centres := cover.covers(k)) is None:
+            k += 1
     except _OutOfBudget:
         raise NodeBudgetError(node_budget, k, upper_bound_radius(G)) from None
+    found = _repair(G, k, centres)
     outcome = simulate(G, found)
     if not (outcome.valid and outcome.complete):
         raise AssertionError(f"witness {found} does not burn the graph in {k} rounds")
-    return ExactResult(k, outcome.schedule, nodes)
+    return ExactResult(k, outcome.schedule, cover.nodes)

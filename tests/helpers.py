@@ -21,6 +21,7 @@ from burnkit import (
     verify,
 )
 from burnkit.graph import _bfs
+from burnkit.hardness import gen_spider
 
 
 def path_graph(n: int) -> Graph:
@@ -39,6 +40,14 @@ def grid_graph(rows: int, cols: int) -> Graph:
     edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
     edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
     return from_edge_list(rows * cols, edges)
+
+
+def chorded_spider(s: int, r: int) -> Graph:
+    """SP(s, r) plus one chord: between the first vertices of its first two
+    legs, or on a single leg of two or more vertices, between the centre and
+    the tip, which closes a cycle."""
+    g = gen_spider(s, r)
+    return from_edge_list(g.n, g.edges() + [(1, 1 + r) if s >= 2 else (0, r)])
 
 
 def hypercube_graph(dim: int) -> Graph:

@@ -35,7 +35,7 @@ from burnkit import (
     IntervalSet,
 )
 from burnkit.cli import main as cli_main
-from burnkit.exact import _Search
+from burnkit.exact import _Cover
 from burnkit.formats import format_edge_list
 
 from helpers import (
@@ -134,8 +134,9 @@ def test_criterion_05_interval_bound():
 
 
 def _no_cover_at(graph, k: int) -> bool:
-    """Exhaustive search: no k-round burning sequence exists for this graph."""
-    return _Search(graph, k, None).run((), 0) is None
+    """Exhaustive search: no cover by balls of radii k - 1, ..., 0, so no
+    k-round burning sequence exists for this graph."""
+    return _Cover(graph, None).covers(k) is None
 
 
 def test_criterion_06_gadget_certificates():

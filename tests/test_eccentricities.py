@@ -4,10 +4,10 @@ The all-BFS ``helpers.eccentricities`` and networkx are the oracles.  The
 work contract counts the runs of the one kernel, ``_bfs``, and the vertices
 they reach: on paths, grids and interval gadgets the bounds close after a
 constant number of BFS runs, whatever n, exact search spends no n² work
-before its node budget and ranks candidates only at the few search nodes
-that pass its capacity prune, its ball table needs no traversal at all, its
-forest refuter builds only the balls it uses, and approx3 runs one bounded
-traversal per source.  Both bounds sweep every tree component at once, in
+before its node budget and grows each radius of its ball table once a call,
+the table needs no traversal at all, on forests the search builds no table
+and only the balls it uses, and approx3 runs one bounded traversal per
+source.  Both bounds sweep every tree component at once, in
 two runs, and the radius bound needs none on cycles.  The graph builders
 check each graph once, without ``Graph``'s row check.  Every ``burn`` walks its components once and
 computes its bounds through ``exact``'s public names.
@@ -43,6 +43,7 @@ from burnkit.graph import _bfs, _EccentricityBounds
 from burnkit.hardness import gen_ig_gadget, gen_pg_gadget, gen_spider, gen_spider_forest, validate_d3p
 
 from helpers import (
+    chorded_spider,
     complete_graph,
     cycle_graph,
     eccentricities,
@@ -277,41 +278,53 @@ def test_lower_bound_sweeps_every_tree_at_once(name, bfs_runs):
     assert bfs_runs(exact.lower_bound, g) <= most, bfs_runs.sources
 
 
-SEARCH_BUDGET = 2000
-"""The node budget of the bench's exact jobs."""
+@pytest.fixture
+def table_rows(monkeypatch):
+    """Records each call of ``exact._grown``, which builds one radius of a
+    ball table, as ``(row it grew from, row it built)``."""
+    rows = []
+    grown = exact._grown
+
+    def recording(adjacency, ball):
+        row = grown(adjacency, ball)
+        rows.append((ball, row))
+        return row
+
+    monkeypatch.setattr(exact, "_grown", recording)
+    return rows
 
 
-@pytest.mark.parametrize("legs", [(6, 6), (7, 7)], ids=str)
-def test_exact_search_ranks_only_nodes_that_pass_the_capacity_prune(legs, monkeypatch):
-    # the search is driven at the last depth below the optimum, which the
-    # engine's forest refuter now skips
-    # ranking costs a sort over every legal vertex; the prune needs only a
-    # threshold scan, and most nodes die at it
-    ranked_at = []
-    candidates = exact._Search._candidates
-
-    def checked_candidates(search, chosen, covered):
-        ranked = candidates(search, chosen, covered)
-        uncovered = (search.full & ~covered).bit_count()
-        sizes = [max(row) for row in search.sizes[: search.k - len(chosen)]]
-        best_gain = -ranked[0][0] if ranked else 0
-        assert uncovered <= sum(sizes)
-        assert not uncovered or uncovered <= sum(min(best_gain, size) for size in sizes)
-        ranked_at.append(chosen)
-        return ranked
-
-    g = gen_spider(*legs)
-    k = burning_number_exact(g).k - 1
-    monkeypatch.setattr(exact._Search, "_candidates", checked_candidates)
-    with pytest.raises(exact._OutOfBudget):  # both spiders exhaust the budget at k
-        exact._Search(g, k, SEARCH_BUDGET).run((), 0)
-    assert ranked_at and len(ranked_at) <= SEARCH_BUDGET // 10
+TABLE_GRAPHS = {
+    # non-forests that the search deepens from well below the optimum
+    "grid-10x10": grid_graph(10, 10),
+    "grid-12x12": grid_graph(12, 12),
+    "spider-7-7-chord": chorded_spider(7, 7),
+    "petersen": petersen_graph(),
+}
 
 
-def _refute_to_the_optimum(g) -> exact._ForestCover:
-    """The engine's refuter: every depth from the lower bound to the first it
+@pytest.mark.parametrize("name", TABLE_GRAPHS)
+def test_exact_search_grows_each_table_radius_once(name, table_rows):
+    # one table for the whole call, grown a radius when a deeper k asks for
+    # it: a table rebuilt per depth would make 1 + 2 + ... + (k - 1) rows
+    g = TABLE_GRAPHS[name]
+    result = burning_number_exact(g, node_budget=5000)
+    assert exact.lower_bound(g) < result.k
+    assert len(table_rows) == 2 * result.k - 2
+    for (_, built), (grown_from, _) in zip(table_rows, table_rows[1:]):
+        assert grown_from is built
+
+
+@pytest.mark.parametrize("g", [path_graph(2000), gen_spider(7, 7)], ids=["path-2000", "spider-7-7"])
+def test_forest_search_builds_no_table(g, table_rows):
+    burning_number_exact(g)
+    assert table_rows == []
+
+
+def _refute_to_the_optimum(g) -> exact._Cover:
+    """The engine's search: every depth from the lower bound to the first it
     does not refute."""
-    cover = exact._ForestCover(g, None)
+    cover = exact._Cover(g, None)
     k = exact.lower_bound(g)
     while cover.covers(k) is None:
         k += 1

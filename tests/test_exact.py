@@ -17,14 +17,12 @@ from burnkit import (
     upper_bound_radius,
     verify,
 )
-from burnkit.exact import _ball_masks, _ForestCover, _OutOfBudget, _repair, _Search
-from burnkit.graph import components
+from burnkit.exact import _ball_masks, _Cover, _repair
 from burnkit.hardness import gen_dk_gadget, gen_ig_gadget, gen_pg_gadget, gen_spider, validate_d3p
 
 from helpers import (
-    _ReferenceOutOfBudget,
-    _ReferenceSearch,
     all_optimal_sequences,
+    chorded_spider,
     complete_graph,
     eccentricities,
     fig_example_graph,
@@ -155,26 +153,25 @@ class TestExactSolver:
         assert info.value.lower >= 1
         assert info.value.upper >= info.value.lower
 
+    def test_grids_and_a_chorded_spider_settle_within_5000_nodes(self):
+        for g, k in ((grid_graph(10, 10), 6), (grid_graph(12, 12), 7), (chorded_spider(7, 7), 7)):
+            result = burning_number_exact(g, node_budget=5000)
+            assert result.k == k and verify(g, result.witness.sources), g.n
+
     def test_empty_graph_rejected(self):
         with pytest.raises(RejectedInputError):
             burning_number_exact(from_edge_list(0, []))
 
     def test_node_budget_bounds_the_search(self, monkeypatch):
         entered = []
-        run, covers = _Search.run, _ForestCover._covers
-
-        def counting_run(search, chosen, covered):
-            if chosen:
-                entered.append(chosen)
-            return run(search, chosen, covered)
+        covers = _Cover._covers
 
         def counting_covers(cover, uncovered, radii):
             if uncovered != cover.full:  # a depth's root, where nothing is covered yet
                 entered.append((uncovered, radii))
             return covers(cover, uncovered, radii)
 
-        monkeypatch.setattr(_Search, "run", counting_run)
-        monkeypatch.setattr(_ForestCover, "_covers", counting_covers)
+        monkeypatch.setattr(_Cover, "_covers", counting_covers)
         rng = random.Random(19)
         graphs = [gen_spider(s, r) for s, r in ((2, 4), (3, 5), (4, 6))]
         graphs += [grid_graph(r, c) for r, c in ((3, 4), (4, 4), (5, 6))]
@@ -193,156 +190,74 @@ class TestExactSolver:
                 if budget == full.nodes_explored:
                     assert result == full
 
-    def test_every_uncovered_vertex_is_a_gaining_candidate(self, monkeypatch):
-        # capacity is the only prune because an uncovered vertex is always a
-        # legal source that covers itself, and one radius-0 ball ends the search
-        checked = []
-        candidates = _Search._candidates
 
-        def checking_candidates(search, chosen, covered):
-            ranked = candidates(search, chosen, covered)
-            gain = {v: -negative_gain for negative_gain, v in ranked}
-            uncovered = [v for v in range(search.n) if not covered >> v & 1]
-            assert all(gain.get(v, 0) >= 1 for v in uncovered)
-            if len(chosen) == search.k - 1:
-                assert len(uncovered) <= 1
-                assert not uncovered or gain[ranked[0][1]] == 1
-            checked.append((search.n, search.k))
-            return ranked
-
-        monkeypatch.setattr(_Search, "_candidates", checking_candidates)
-        rng = random.Random(29)
-        for _ in range(120):
-            g = random_graph(rng, rng.randint(1, 14), rng.random())
-            burning_number_exact(g)
-        assert len(set(checked)) > 20
-
-
-REFERENCE_CAP = 3000
-"""Stands in for an unlimited budget where the search needs more nodes."""
-
-
-def _exact_outcome(g, budget):
-    try:
-        result = burning_number_exact(g, node_budget=budget)
-    except NodeBudgetError as error:
-        return str(error)
-    return result.k, result.witness.sources, result.nodes_explored
-
-
-def _reference_outcome(g, budget):
-    try:
-        return reference_exact(g, budget)
-    except NodeBudgetError as error:
-        return str(error)
-
-
-def _depth_outcome(search):
-    """``(witness or None, nodes)`` of one depth's search, or
-    ``("out of budget", nodes)``."""
-    try:
-        return search.run((), 0), search.nodes
-    except (_OutOfBudget, _ReferenceOutOfBudget):
-        return "out of budget", search.nodes
-
-
-def _is_forest(g) -> bool:
-    return g.edge_count == g.n - len(components(g))
-
-
-def _refuter_and_search_nodes(g) -> tuple[int, int]:
-    """On a forest, the nodes of the refuter from ``lower_bound(g)`` through
-    the first depth it does not refute, and those of ``_Search`` at that
-    depth.  Their sum is what an engine that searched the first feasible
-    depth again would report."""
-    cover = _ForestCover(g, None)
+def _nodes_to_the_optimum(g) -> int:
+    """The nodes of one cover search from ``lower_bound(g)`` through the
+    first depth it does not refute."""
+    cover = _Cover(g, None)
     k = lower_bound(g)
     while cover.covers(k) is None:
         k += 1
-    search = _Search(g, k, None)
-    assert search.run((), 0) is not None
-    return cover.nodes, search.nodes
+    return cover.nodes
 
 
-def _assert_forest_settles(g, k):
-    """The engine gives k on the forest g with a witness that burns g in k
-    rounds, and counts only the refuter's nodes, fewer than the refuter and
-    ``_Search`` together."""
+def _assert_settles(g, k):
+    """The engine gives k on g with a witness that burns g in k rounds, and
+    counts the nodes of its one search and no other."""
     result = burning_number_exact(g)
     assert result.k == k, g.edges()
     assert len(result.witness.sources) == k and verify(g, result.witness.sources), g.edges()
-    refuter, search = _refuter_and_search_nodes(g)
-    assert result.nodes_explored == refuter < refuter + search, g.edges()
-
-
-def _assert_matches_reference(g):
-    """Depth by depth from ``lower_bound(g)``, ``_Search`` and the ranking
-    ``_ReferenceSearch`` give equal outcomes at budgets 0, 1, N // 2, N and
-    None, where N is the reference's node count at that depth; a depth where
-    the reference needs more than REFERENCE_CAP is compared up to the cap and
-    ends the comparison.  Where the reference settles on a graph with a
-    cycle, the engine gives its k and witness, and also ``reference_exact``'s
-    node count or budget message, at budgets 0, 1, N // 2, N and None for the
-    engine's N; the bounded budgets come first, so a search that prunes a
-    solution fails fast.  On a forest no ``_Search`` runs: the engine gives
-    the reference's k with a verified witness of its own
-    (``_assert_forest_settles``)."""
-    k = lower_bound(g)
-    while True:
-        witness, nodes = _depth_outcome(_ReferenceSearch(g, k, REFERENCE_CAP))
-        capped = witness == "out of budget"
-        for budget in [0, 1, nodes // 2, nodes] + ([] if capped else [None]):
-            expected = _depth_outcome(_ReferenceSearch(g, k, budget))
-            assert _depth_outcome(_Search(g, k, budget)) == expected, (g.edges(), k, budget)
-        if capped:
-            break
-        if witness is not None:
-            if _is_forest(g):
-                _assert_forest_settles(g, k)
-                return
-            result = burning_number_exact(g)
-            assert (result.k, result.witness.sources) == (k, witness), g.edges()
-            break
-        k += 1
-    if _is_forest(g):  # capped, and the refuter settles it
-        return
-    full = _reference_outcome(g, REFERENCE_CAP)
-    if isinstance(full, str):
-        budgets = [0, 1, REFERENCE_CAP // 2, REFERENCE_CAP]
-    else:
-        budgets = [0, 1, full[2] // 2, full[2], None]
-    for budget in budgets:
-        assert _exact_outcome(g, budget) == _reference_outcome(g, budget), (g.edges(), budget)
-
-
-class TestMatchesRankingReference:
-    """The threshold scan prunes exactly the nodes that ranking every
-    candidate and reading the best gain pruned, so at every depth the search
-    order, witness, node count and running out stay ``_ReferenceSearch``'s.
-    Off forests the engine keeps ``reference_exact``'s k, witness, node
-    counts and budget messages; on forests, where the refuter's cover is the
-    witness, its k."""
-
-    @pytest.mark.parametrize("s", range(1, 8))
-    def test_spiders(self, s):
-        for r in range(9):
-            _assert_matches_reference(gen_spider(s, r))
-
-    def test_grids(self):
-        for rows in range(1, 6):
-            for cols in range(1, 7):
-                _assert_matches_reference(grid_graph(rows, cols))
-
-    @given(small_edge_lists)
-    @settings(max_examples=100, deadline=None)
-    def test_small_graphs(self, case):
-        n, edges = case
-        _assert_matches_reference(from_edge_list(n, edges))
+    assert result.nodes_explored == _nodes_to_the_optimum(g), g.edges()
 
 
 SLOW_REFERENCE_SPIDERS = {(7, 7): 8, (7, 8): 8}
 """``reference_exact``'s k where it explores 723,167 and 712,520 nodes
 (6-12 s each), recorded from it."""
+
+SLOW_REFERENCE_CHORDED_SPIDERS = {(7, 8): 8}
+"""``reference_exact``'s k on SP(7, 8) plus a chord between its first two
+legs, where it explores 709,580 nodes (4 s), recorded from it."""
+
+
+class TestMatchesRankingReference:
+    """The cover search keeps the k of ``reference_exact``, the ranking
+    search of ``helpers``, with a verified witness of its own, on spiders
+    with one chord, grids and small graphs, and bruteforce's on the atlas;
+    ``TestForestCover`` holds the spiders themselves."""
+
+    @pytest.mark.parametrize("s", range(1, 8))
+    def test_spiders(self, s):
+        for r in range(1 if s >= 2 else 2, 9):
+            g = chorded_spider(s, r)
+            _assert_settles(g, SLOW_REFERENCE_CHORDED_SPIDERS.get((s, r)) or reference_exact(g)[0])
+
+    def test_grids(self):
+        for rows in range(1, 6):
+            for cols in range(1, 7):
+                g = grid_graph(rows, cols)
+                _assert_settles(g, reference_exact(g)[0])
+
+    @given(small_edge_lists)
+    @settings(max_examples=100, deadline=None)
+    def test_small_graphs(self, case):
+        n, edges = case
+        g = from_edge_list(n, edges)
+        _assert_settles(g, reference_exact(g)[0])
+
+    def test_feasibility_matches_bruteforce_on_the_atlas(self):
+        # b(G) <= k exactly when the search finds a cover, on every graph of
+        # at most seven vertices; at b(G) its cover repairs into a witness
+        nx = pytest.importorskip("networkx")
+        for h in nx.graph_atlas_g()[1:]:  # all 1252 non-empty graphs
+            g = from_edge_list(h.number_of_nodes(), h.edges())
+            b = burning_number_bruteforce(g).k
+            deepening = _Cover(g, None)  # one search for every k, as the engine keeps it
+            for k in range(1, g.n + 1):
+                centres = deepening.covers(k)
+                assert (centres is not None) == (k >= b), (g.edges(), k)
+                if k == b:
+                    assert verify(g, _repair(g, k, centres)), (g.edges(), centres)
+            _assert_settles(g, b)
 
 
 def _forests_of_the_atlas():
@@ -365,24 +280,24 @@ def _random_forest(rng: random.Random, n: int):
 
 
 class TestForestCover:
-    """The forest refuter decides b(G) <= k exactly, and at the least k it
-    does not refute, its cover is the witness: the engine keeps the
-    reference's k on forests with a verified witness of its own, and counts
-    only the refuter's nodes."""
+    """On forests the search branches only on the radius, centred at u's
+    ancestor; it decides b(G) <= k exactly, and at the least k it does not
+    refute, its cover is the witness: the engine keeps the reference's k on
+    forests with a verified witness of its own."""
 
     def test_feasibility_matches_bruteforce_on_the_atlas(self):
         forests = _forests_of_the_atlas()
         assert len(forests) == 1 + 2 + 3 + 6 + 10 + 20 + 37  # forests on 1..7 vertices
         for g in forests:
             b = burning_number_bruteforce(g).k
-            deepening = _ForestCover(g, None)  # one refuter for every k, as the engine keeps it
+            deepening = _Cover(g, None)  # one search for every k, as the engine keeps it
             for k in range(1, g.n + 1):
-                assert (_ForestCover(g, None).covers(k) is not None) == (k >= b), (g.edges(), k)
+                assert (_Cover(g, None).covers(k) is not None) == (k >= b), (g.edges(), k)
                 centres = deepening.covers(k)
                 assert (centres is not None) == (k >= b), (g.edges(), k)
                 if k == b:
                     assert verify(g, _repair(g, k, centres)), (g.edges(), centres)
-            _assert_forest_settles(g, b)
+            _assert_settles(g, b)
 
     def test_cover_centres_cover_the_forest(self):
         # every radius the cover uses has its centre's ball, and together
@@ -394,7 +309,7 @@ class TestForestCover:
             h = nx.Graph(g.edges())
             h.add_nodes_from(range(g.n))
             k = burning_number_exact(g).k
-            centres = _ForestCover(g, None).covers(k)
+            centres = _Cover(g, None).covers(k)
             assert set(centres) <= set(range(k))
             covered = set()
             for r, centre in centres.items():
@@ -415,13 +330,13 @@ class TestForestCover:
         for r in range(9):
             g = gen_spider(s, r)
             k = SLOW_REFERENCE_SPIDERS.get((s, r)) or reference_exact(g)[0]
-            _assert_forest_settles(g, k)
+            _assert_settles(g, k)
 
     def test_random_forests_match_the_reference(self):
         rng = random.Random(83)
         for _ in range(300):
             g = _random_forest(rng, rng.randint(1, 15))
-            _assert_forest_settles(g, reference_exact(g)[0])
+            _assert_settles(g, reference_exact(g)[0])
 
     def test_bench_spiders_settle_within_their_budget(self):
         # the bench's exact jobs, which exhausted 2000 nodes without the refuter
@@ -445,10 +360,11 @@ class TestForestCover:
 
 
 class TestCoveringLemma:
-    """What lets the threshold scan ignore legality: a vertex that is no
-    legal source after a prefix x_1..x_d lies in some ball(x_t, d - t - 1),
-    so its ball of radius k - d - 1 lies inside ball(x_t, k - t - 1), which
-    the prefix already covers, and it gains nothing."""
+    """What lets ``_repair`` replace a centre that is already burned when its
+    turn comes: a vertex that is no legal source after a prefix x_1..x_d
+    lies in some ball(x_t, d - t - 1), so its ball of radius k - d - 1 lies
+    inside ball(x_t, k - t - 1), which the prefix already covers, and it
+    gains nothing."""
 
     @given(small_edge_lists, st.data())
     @settings(max_examples=200, deadline=None)

@@ -357,12 +357,12 @@ class TestDkGadget:
         assert orders == [27, 5, 3, 1]
 
     def test_desk_scale_lower_bound_by_exhaustive_search(self):
-        from burnkit.exact import _Search
+        from burnkit.exact import _Cover
 
         inst = validate_d3p(DESK_X)
         _, cert = gen_dk_gadget(inst, 14, [(4, 5, 6)])
-        search = _Search(cert.graph, 6, None)
-        assert search.run((), 0) is None  # six rounds can never finish
+        # no cover by balls of radii 5, ..., 0: six rounds can never finish
+        assert _Cover(cert.graph, None).covers(6) is None
 
 
 class TestVertexCounts:

@@ -74,12 +74,15 @@ def _cases() -> list[list[str]]:
         ["burn", "--engine", "exact", "sp47.edges"],
         ["burn", "--engine", "exact", "sp55.edges"],
         ["burn", "--engine", "exact", "grid56.edges"],
+        ["burn", "--engine", "exact", "grid10.edges"],
         ["burn", "--engine", "exact", "--node-budget", "115", "sp47.edges"],
         ["burn", "--engine", "exact", "--node-budget", "116", "sp47.edges"],
         ["burn", "--engine", "exact", "--node-budget", "52", "sp55.edges"],
         ["burn", "--engine", "exact", "--node-budget", "53", "sp55.edges"],
-        ["burn", "--engine", "exact", "--node-budget", "63", "grid56.edges"],
-        ["burn", "--engine", "exact", "--node-budget", "64", "grid56.edges"],
+        ["burn", "--engine", "exact", "--node-budget", "6", "grid56.edges"],
+        ["burn", "--engine", "exact", "--node-budget", "7", "grid56.edges"],
+        ["burn", "--engine", "exact", "--node-budget", "85", "grid10.edges"],
+        ["burn", "--engine", "exact", "--node-budget", "86", "grid10.edges"],
         ["burn", "--engine", "bruteforce", "example.edges"],
         ["burn", "--engine", "bruteforce", "--vertex-cap", "5", "p9.edges"],
         ["burn", "--engine", "approx3", "--trace", "--x1", "4", "p9.edges"],

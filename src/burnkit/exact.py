@@ -199,13 +199,13 @@ class _Cover:
                 for u in self.adjacency[v]:
                     if depth[u] > depth[v]:
                         self.parent[u] = v
+            self.masks: dict[tuple[int, int], int] = {}
         else:
             bit = self.bit
             self.ordered = [[bit[u] for u in self.adjacency[v]] for v in self.vertex]
             self.balls = [[1 << i for i in range(G.n)]]
             self.largest = [1]  # the size of each row's largest ball
         self.full = (1 << G.n) - 1
-        self.masks: dict[tuple[int, int], int] = {}
         self.failed: set[tuple[int, int]] = set()
 
     def _mask(self, centre: int, radius: int) -> int:
@@ -227,7 +227,8 @@ class _Cover:
                 return True
             left -= 1
             top = uncovered.bit_length() - 1
-            uncovered &= ~(self._mask(self.vertex[top], reach) if self.forest else self.balls[reach][top])
+            ball = self._mask(self.vertex[top], reach) if self.forest else self.balls[reach][top]
+            uncovered &= ~ball
         return False
 
     def _short(self, uncovered: int, radii: int) -> bool:

@@ -305,8 +305,9 @@ TABLE_GRAPHS = {
 
 @pytest.mark.parametrize("name", TABLE_GRAPHS)
 def test_exact_search_grows_each_table_radius_once(name, table_rows):
-    # one table for the whole call, grown a radius when a deeper k asks for
-    # it: a table rebuilt per depth would make 1 + 2 + ... + (k - 1) rows
+    # one table for the whole call, each row grown from the one before when
+    # a deeper k asks for it; a table rebuilt per depth would build rows
+    # again for every depth from the lower bound
     g = TABLE_GRAPHS[name]
     result = burning_number_exact(g, node_budget=5000)
     assert exact.lower_bound(g) < result.k

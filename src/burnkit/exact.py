@@ -16,7 +16,7 @@ from ._record import Record
 from .burning import BurnSchedule, simulate
 from .errors import NodeBudgetError, RejectedInputError, VertexCapError
 from .families import _ceil_sqrt
-from .graph import Graph, _bfs, _EccentricityBounds, components
+from .graph import Graph, _bfs, _EccentricityBounds, _rows, components
 
 
 class ExactResult(Record):
@@ -91,9 +91,10 @@ def upper_bound_radius(G: Graph) -> int:
     radius 0; a tree of diameter D has radius ceil(D / 2), and one double
     sweep gives the largest D over all trees at once (see ``_tree_diameter``);
     a cycle, a component whose every degree is 2, has radius floor(|C| / 2).
-    Any other component bounds eccentricities with a few BFS runs (see
-    ``graph._EccentricityBounds``), which stop once the least lower bound in
-    the component equals its least upper bound.  On a vertex-transitive
+    Any other component bounds eccentricities with a few BFS runs on its own
+    rows (``graph._rows``; the graph's own when it is the whole graph), which
+    stop once its least lower bound equals its least upper bound (see
+    ``graph._EccentricityBounds``).  On a vertex-transitive
     component the bounds do not close, and after a few runs the fallback
     finishes with one plain BFS per undecided vertex.
     """
@@ -108,7 +109,8 @@ def upper_bound_radius(G: Graph) -> int:
         elif all(len(G.adjacency[v]) == 2 for v in comp):  # connected and 2-regular: a cycle
             radius = max(radius, len(comp) // 2)
         else:
-            radius = max(radius, _EccentricityBounds(G.adjacency, sorted(comp)).radius())
+            rows = G.adjacency if len(comp) == G.n else _rows(G.adjacency, sorted(comp))
+            radius = max(radius, _EccentricityBounds(rows).radius())
     if trees:
         radius = max(radius, (_tree_diameter(G, trees) + 1) // 2)
     return radius + len(comps)
@@ -157,21 +159,24 @@ class _Cover:
     holds exactly when b(G) <= k (Bonato, Janssen & Roshanbin 2016).
 
     One run from every component's smallest vertex, its root, orders the
-    vertices, and bit i of a mask is the i-th vertex it reaches; u, the
-    uncovered vertex of highest bit, is one of the farthest from its root.
-    A node branches on which remaining radius r covers u and on the ball's
-    centre, which lies within r of u.  A cover it finds keeps the centre it
-    chose for each radius, and ``_repair`` turns those into a burning
-    sequence.  On every graph a memo of failed (uncovered, radii) states
-    prunes, and so does packing: uncovered vertices picked by falling bit,
-    each more than 2·r_max from the earlier picks, need a ball each.
+    vertices: bit i of a mask is the i-th vertex it reaches, and the search
+    runs on the rows renamed to bits (``graph._rows``), so vertex ids appear
+    only in reported centres.  u, the uncovered vertex of highest bit, is one
+    of the farthest from its root.  A node branches on which remaining radius
+    r covers u and on the ball's centre, which lies within r of u.  A cover
+    it finds keeps the centre it chose for each radius, and ``_repair`` turns
+    those into a burning sequence.  On every graph a memo of failed
+    (uncovered, radii) states prunes, and so does packing: uncovered vertices
+    picked by falling bit, each more than 2·r_max from the earlier picks,
+    need a ball each.
 
-    On a forest, u's parent is its neighbour one level shallower, and every
-    uncovered vertex that some radius-r ball around u covers lies in
-    ball(a, r), where a is u's ancestor at distance r, or the root when u is
-    shallower (the exchange argument for tree centres, Kariv & Hakimi 1979).
-    So the ancestor is the only centre, a radius that leaves what a smaller
-    one leaves is skipped, and each ball mask is built on first use.
+    On a forest, u's parent is its one neighbour of smaller bit, as bits are
+    in breadth-first order, and every uncovered vertex that some radius-r
+    ball around u covers lies in ball(a, r), where a is u's ancestor at
+    distance r, or the root when u is shallower (the exchange argument for
+    tree centres, Kariv & Hakimi 1979).  So the ancestor is the only centre,
+    a radius that leaves what a smaller one leaves is skipped, and each ball
+    mask is built on first use.
 
     Off forests every vertex within r of u is a centre.  The balls come from
     one table in bit order, ``balls[r][v]`` for r <= 2k - 2 (packing reads
@@ -184,25 +189,16 @@ class _Cover:
     """
 
     def __init__(self, G: Graph, budget: int | None):
-        self.adjacency = G.adjacency
         self.budget = budget
         self.nodes = 0
         comps = components(G)
-        depth, self.vertex = _bfs(self.adjacency, [min(comp) for comp in comps])  # bit -> vertex
-        self.bit = [0] * G.n
-        for i, v in enumerate(self.vertex):
-            self.bit[v] = i
+        self.vertex = _bfs(G.adjacency, [min(comp) for comp in comps])[1]  # bit -> vertex
+        self.rows = _rows(G.adjacency, self.vertex)
         self.forest = G.edge_count == G.n - len(comps)
         if self.forest:
-            self.parent = [-1] * G.n
-            for v in self.vertex:
-                for u in self.adjacency[v]:
-                    if depth[u] > depth[v]:
-                        self.parent[u] = v
+            self.parent = [next((u for u in row if u < i), -1) for i, row in enumerate(self.rows)]
             self.masks: dict[tuple[int, int], int] = {}
         else:
-            bit = self.bit
-            self.ordered = [[bit[u] for u in self.adjacency[v]] for v in self.vertex]
             self.balls = [[1 << i for i in range(G.n)]]
             self.largest = [1]  # the size of each row's largest ball
         self.full = (1 << G.n) - 1
@@ -211,10 +207,9 @@ class _Cover:
     def _mask(self, centre: int, radius: int) -> int:
         mask = self.masks.get((centre, radius))
         if mask is None:
-            bit = self.bit
             mask = 0
-            for v in _bfs(self.adjacency, (centre,), radius)[1]:
-                mask |= 1 << bit[v]
+            for i in _bfs(self.rows, (centre,), radius)[1]:
+                mask |= 1 << i
             self.masks[centre, radius] = mask
         return mask
 
@@ -227,7 +222,7 @@ class _Cover:
                 return True
             left -= 1
             top = uncovered.bit_length() - 1
-            ball = self._mask(self.vertex[top], reach) if self.forest else self.balls[reach][top]
+            ball = self._mask(top, reach) if self.forest else self.balls[reach][top]
             uncovered &= ~ball
         return False
 
@@ -253,15 +248,14 @@ class _Cover:
     def _forest_branches(self, uncovered: int, radii: int) -> Iterable[tuple[int, tuple[int, int]]]:
         """``(rest, (radius, centre))`` for each radius that covers u by its
         ancestor, the largest radius first."""
-        u = self.vertex[uncovered.bit_length() - 1]
         # what each radius leaves -> the smallest such radius and its centre
         rests: dict[int, tuple[int, int]] = {}
-        centre, climbed = u, 0
+        centre, climbed = uncovered.bit_length() - 1, 0
         for r in range(radii.bit_length()):
             if radii >> r & 1:
                 while climbed < r and self.parent[centre] >= 0:
                     centre, climbed = self.parent[centre], climbed + 1
-                rests.setdefault(uncovered & ~self._mask(centre, r), (r, centre))
+                rests.setdefault(uncovered & ~self._mask(centre, r), (r, self.vertex[centre]))
         return reversed(rests.items())
 
     def _branches(self, uncovered: int, radii: int) -> list[tuple[int, tuple[int, int]]]:
@@ -321,7 +315,7 @@ class _Cover:
         than ``budget`` raises ``_OutOfBudget``."""
         if not self.forest:
             while len(self.balls) < 2 * k - 1:
-                self.balls.append(_grown(self.ordered, self.balls[-1]))
+                self.balls.append(_grown(self.rows, self.balls[-1]))
                 self.largest.append(max(ball.bit_count() for ball in self.balls[-1]))
         return self._covers(self.full, (1 << k) - 1)
 

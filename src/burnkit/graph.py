@@ -171,63 +171,68 @@ def _bfs(
     return dist, reached
 
 
-class _EccentricityBounds:
-    """Bounds ``lower[i] <= ecc(members[i]) <= upper[i]`` over one component,
-    tightened one BFS at a time (Takes & Kosters 2011).
+def _rows(adjacency: Sequence[Sequence[int]], order: Sequence[int]) -> list[list[int]]:
+    """The rows induced on ``order``, a union of components, with ``order[i]`` renamed to i."""
+    index = {v: i for i, v in enumerate(order)}  # not a dense n-row: O(|order| + its edges)
+    return [[index[u] for u in adjacency[v]] for v in order]
 
-    A BFS from v fixes e = ecc(v) and bounds every member u at distance d by
-    ``max(d, e - d) <= ecc(u) <= e + d``.  A member is decided once its bounds
+
+class _EccentricityBounds:
+    """Bounds ``lower[v] <= ecc(v) <= upper[v]`` over one connected graph on
+    0..n-1, a component on its own rows (see ``_rows``), tightened one BFS at
+    a time (Takes & Kosters 2011).
+
+    A BFS from v fixes e = ecc(v) and bounds every vertex u at distance d by
+    ``max(d, e - d) <= ecc(u) <= e + d``.  A vertex is decided once its bounds
     meet.  Bounds cannot close on a vertex-transitive graph, where a run
     decides only its own source, so once the runs exceed
-    ``4 + decided / 2`` the next ``probe`` runs one plain BFS per open member
+    ``4 + decided / 2`` the next ``probe`` runs one plain BFS per open vertex
     instead, which decides them all.
     """
 
-    def __init__(self, adjacency: Sequence[Sequence[int]], members: Sequence[int]):
+    def __init__(self, adjacency: Sequence[Sequence[int]]):
         self.adjacency = adjacency
-        self.members = members
-        self.lower = [0] * len(members)
-        self.upper = [2 * len(adjacency)] * len(members)  # above any e + d
+        self.lower = [0] * len(adjacency)
+        self.upper = [2 * len(adjacency)] * len(adjacency)  # above any e + d
         self.runs = 0
         self.decided = 0
         self.previous: list[int] = []  # the row of the bounding run before the latest
         self.latest: list[int] = []  # the row of the latest bounding run
 
     def tighten(self, dist: list[int]) -> None:
-        """Apply one BFS row whose source is a member."""
+        """Apply one BFS row."""
         self.runs += 1
         self.previous, self.latest = self.latest, dist
         e = max(dist)
         lower, upper = self.lower, self.upper
-        for i, u in enumerate(self.members):
-            low, high = lower[i], upper[i]
+        for u, d in enumerate(dist):
+            low, high = lower[u], upper[u]
             if low == high:
                 continue
-            d = dist[u]
             far = d if d > e - d else e - d
             if far > low:
-                lower[i] = low = far
+                lower[u] = low = far
             if e + d < high:
-                upper[i] = high = e + d
+                upper[u] = high = e + d
             if low == high:
                 self.decided += 1
 
-    def probe(self, i: int) -> None:
-        """Decide member i, and more: by one bounding BFS, or by the fallback."""
+    def probe(self, v: int) -> None:
+        """Decide vertex v, and more: by one bounding BFS, or by the fallback."""
         if self.runs <= 4 + self.decided / 2:
-            self.tighten(_bfs(self.adjacency, (self.members[i],))[0])
+            self.tighten(_bfs(self.adjacency, (v,))[0])
             return
         lower, upper = self.lower, self.upper
-        for j, u in enumerate(self.members):
-            if lower[j] < upper[j]:
-                lower[j] = upper[j] = max(_bfs(self.adjacency, (u,))[0])
-        self.decided = len(self.members)
+        for u in range(len(lower)):
+            if lower[u] < upper[u]:
+                lower[u] = upper[u] = max(_bfs(self.adjacency, (u,))[0])
+        self.decided = len(lower)
 
     def pick(self) -> int:
-        """The next member to probe: the open one of smallest lower bound after
+        """The next vertex to probe: the open one of smallest lower bound after
         an odd number of runs, else of largest upper bound; ties to the smallest."""
         lower, upper = self.lower, self.upper
-        open_ = [i for i in range(len(self.members)) if lower[i] < upper[i]]
+        open_ = [v for v in range(len(lower)) if lower[v] < upper[v]]
         if self.runs % 2:
             return min(open_, key=lower.__getitem__)
         return max(open_, key=upper.__getitem__)
@@ -317,7 +322,7 @@ def diameter_path(G: Graph) -> list[int]:
     first, _ = _bfs(G.adjacency, (0,))
     if UNREACHED in first:
         raise DisconnectedGraphError("diameter undefined for a disconnected graph")
-    ecc = _EccentricityBounds(G.adjacency, range(G.n))
+    ecc = _EccentricityBounds(G.adjacency)
     ecc.tighten(first)
     while True:
         best = max(ecc.lower)

@@ -7,10 +7,11 @@ constant number of BFS runs, whatever n, exact search spends no n² work
 before its node budget and grows each radius of its ball table once a call,
 the table needs no traversal at all, on forests the search builds no table
 and only the balls it uses, and approx3 runs one bounded traversal per
-source.  Both bounds sweep every tree component at once, in
-two runs, and the radius bound needs none on cycles.  The graph builders
-check each graph once, without ``Graph``'s row check.  Every ``burn`` walks its components once and
-computes its bounds through ``exact``'s public names.
+source.  Both bounds sweep every tree component at once, in two runs, and
+the radius bound needs none on cycles and runs every other component on its
+own rows.  The graph builders check each graph once, without ``Graph``'s row
+check.  Every ``burn`` walks its components once and computes its bounds
+through ``exact``'s public names.
 """
 
 import io
@@ -39,7 +40,7 @@ from burnkit import (
 )
 from burnkit import cli, exact, graph
 from burnkit.formats import format_edge_list, parse_edge_list
-from burnkit.graph import _bfs, _EccentricityBounds
+from burnkit.graph import _bfs, _EccentricityBounds, _rows
 from burnkit.hardness import gen_ig_gadget, gen_pg_gadget, gen_spider, gen_spider_forest, validate_d3p
 
 from helpers import (
@@ -112,7 +113,7 @@ def test_bounds_bracket_every_eccentricity(family):
         ecc = eccentricities(g)
         for comp in components(g):
             members = sorted(comp)
-            bounds = _EccentricityBounds(g.adjacency, members)
+            bounds = _EccentricityBounds(_rows(g.adjacency, members))
             for _ in range(min(len(members), 8)):
                 bounds.probe(rng.randrange(len(members)))
                 for i, v in enumerate(members):
@@ -170,29 +171,32 @@ def test_small_graphs_match_oracle(case):
 
 class _Work:
     """The traversals of one measured call, by source, the vertices its
-    bounded runs reach, and the vertices every run reaches."""
+    bounded runs reach, the vertices every run reaches, and the summed
+    length of the distance rows the runs return."""
 
     def __init__(self):
         self.sources: list = []
         self.ball_vertices = 0
         self.reached = 0
+        self.row_length = 0
 
     def __call__(self, fn, g) -> int:
         """Run ``fn(g)`` and return its ``_bfs`` runs."""
         self.sources = []
         self.ball_vertices = 0
         self.reached = 0
+        self.row_length = 0
         fn(g)
         return len(self.sources)
 
 
 @pytest.fixture
 def bfs_runs(monkeypatch):
-    """Counts every ``_bfs`` call as a run, and the vertices each reaches,
-    while the test runs, through each burnkit module's binding of the kernel.
-    A run is recorded by its source, or by its tuple of sources when it
-    starts from several; the vertices of a bounded run also count as ball
-    vertices."""
+    """Counts every ``_bfs`` call as a run, the vertices each reaches and the
+    length of the row it returns, while the test runs, through each burnkit
+    module's binding of the kernel.  A run is recorded by its source, or by
+    its tuple of sources when it starts from several; the vertices of a
+    bounded run also count as ball vertices."""
     work = _Work()
     bfs = graph._bfs
 
@@ -203,6 +207,7 @@ def bfs_runs(monkeypatch):
         if radius is not None:
             work.ball_vertices += len(reached)
         work.reached += len(reached)
+        work.row_length += len(dist)
         return dist, reached
 
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "burnkit"]
@@ -471,6 +476,21 @@ def test_isolated_vertices_take_no_bfs(bfs_runs):
     assert upper_bound_radius(g) == 50
     # the other components of a graph still take theirs
     assert 0 < bfs_runs(upper_bound_radius, from_edge_list(50, [(0, 1), (1, 2)])) <= 3
+
+
+K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+
+@pytest.mark.parametrize("edges", [K4_EDGES, K4_EDGES[:-1]], ids=["K4", "diamond"])
+@pytest.mark.parametrize("copies", [250, 1000])
+def test_radius_bound_runs_each_component_on_its_own_rows(edges, copies, bfs_runs):
+    # a component that is neither a tree nor a cycle bounds its radius on its
+    # own rows, so its runs cost the component, not the graph: a dense n-row
+    # per run would cost copies * n in all, here a multiple of n + 2m
+    g = from_edge_list(4 * copies, [(u + 4 * i, v + 4 * i) for i in range(copies) for u, v in edges])
+    bfs_runs(upper_bound_radius, g)
+    assert bfs_runs.row_length <= g.n + 2 * g.edge_count, (bfs_runs.row_length, g.n)
+    assert upper_bound_radius(g) == 1 + copies  # both have radius 1
 
 
 def test_cycles_take_one_bfs_per_vertex_at_most(bfs_runs):

@@ -70,8 +70,14 @@ RANGE_CASES = [
 ]
 
 
+def _case_id(x) -> str:
+    """A callable by its name: its repr holds a memory address, which would
+    change the test id from run to run."""
+    return x.__name__ if callable(x) else str(x)[:40]
+
+
 @pytest.mark.parametrize(
-    "message, call, args", [(m, c, a) for m, c, *a in RANGE_CASES], ids=lambda x: str(x)[:40]
+    "message, call, args", [(m, c, a) for m, c, *a in RANGE_CASES], ids=_case_id
 )
 def test_vertex_range_messages(message, call, args):
     _raises(RejectedInputError, message, call, *args)
@@ -103,7 +109,7 @@ PRECONDITION_CASES = [
 
 
 @pytest.mark.parametrize(
-    "message, call, args", [(m, c, a) for m, c, *a in PRECONDITION_CASES], ids=lambda x: str(x)[:40]
+    "message, call, args", [(m, c, a) for m, c, *a in PRECONDITION_CASES], ids=_case_id
 )
 def test_precondition_messages(message, call, args):
     _raises(RejectedInputError, message, call, *args)

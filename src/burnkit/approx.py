@@ -22,12 +22,14 @@ four exact facts about the ratio d_j(v) / (k - j + 1):
 4. A new source j at distance d from v changes nothing once d is at least
    the distance d_last of v's last record (d_last, j_last): no record is
    appended, and d + j > d_last + j_last >= reach[v] leaves the deadline.
-   So with ``far`` the largest last-record distance, the source needs only
-   its ball of radius far - 1; only while some vertex has no record, that
-   is while a component is unseeded, does it need its whole component.
+   Burned vertices are never read again, so with ``far`` the largest
+   last-record distance of a live vertex, the source needs only its ball of
+   radius far - 1; only while a live vertex has no record does it need its
+   whole component.
 
 A new source costs one traversal of radius far - 1 and a pass over the
-vertices it reaches; a round costs O(live + their records).
+vertices it reaches; the round after it costs O(live + their records), and
+the same scan yields the next far.
 """
 
 from __future__ import annotations
@@ -52,10 +54,11 @@ class _Frontier:
 
     ``records[v]`` lists (d, j) for source j at distance d, d strictly falling;
     a vertex no source reaches has no records and a deadline past every round.
-    ``pick`` trims records from the front only, so the last record of a vertex
-    changes only in ``add``.  ``add`` also folds the burned vertices its ball
-    reaches: nothing reads them again, and counting them in ``far`` can only
-    widen a ball.
+    One step, ``place``, folds a source's traversal into the vertices it
+    reaches, burned ones included since nothing reads them again.  Its scan
+    of the live vertices then picks the next round's source and, in the same
+    loop, the radius of the next traversal.  The scan trims records from the
+    front only, so a last record changes only in the fold.
     """
 
     def __init__(self, adjacency):
@@ -64,67 +67,52 @@ class _Frontier:
         self.live = list(range(len(adjacency)))
         self.reach = [sys.maxsize] * len(adjacency)
         self.records: list[list[tuple[int, int]]] = [[] for _ in adjacency]
-        # unseeded counts the vertices without a record; lasts[d] those whose
-        # last record has distance d, and far is at least the largest such d,
-        # exact once trimmed
-        self.unseeded = len(adjacency)
-        self.lasts = [0] * len(adjacency)
-        self.far = 0
+        self.radius = None  # of the next traversal; None: the whole component
 
-    def add(self, source: int) -> None:
-        """Place the next source: fold its ball of radius far - 1 into the
-        vertices it reaches, or its whole component while a vertex has no
-        record."""
+    def place(self, source: int) -> tuple[int | None, int]:
+        """Place the next source, then return round k's source (None if
+        nothing is left) and the unburned count, for k one past the sources
+        placed."""
         self.placed += 1
         j = self.placed
-        lasts = self.lasts
-        radius = None
-        if not self.unseeded:
-            while not lasts[self.far]:
-                self.far -= 1
-            radius = self.far - 1
         reach, records = self.reach, self.records
-        dist, reached = _bfs(self.adjacency, (source,), radius)
+        dist, reached = _bfs(self.adjacency, (source,), self.radius)
         for v in reached:
             d = dist[v]
             if d + j < reach[v]:
                 reach[v] = d + j
             own = records[v]
-            if not own:
-                self.unseeded -= 1
-                if d > self.far:
-                    self.far = d
-            elif d < own[-1][0]:
-                lasts[own[-1][0]] -= 1
-            else:
-                continue
-            lasts[d] += 1
-            own.append((d, j))
-
-    def pick(self) -> tuple[int | None, int]:
-        """Round k's source (None if nothing is left) and the unburned count,
-        for k one past the sources placed."""
-        k = self.placed + 1
-        reach, records = self.reach, self.records
+            if not own or d < own[-1][0]:
+                own.append((d, j))
+        k = j + 1
         self.live = live = [v for v in self.live if reach[v] >= k]
         best, best_num, best_den = None, -1, 1
+        far = 0
         for v in live:
             own = records[v]
-            if not own:
-                num, den = 1, 0
-            else:
+            if len(own) == 1:  # most live vertices hold one record
+                ((num, j),) = own
+                den = k - j + 1
+                if num > far:
+                    far = num
+            elif own:
+                if own[-1][0] > far:
+                    far = own[-1][0]
                 num, j = own[0]
                 den = k - j + 1
-                if len(own) > 1:
-                    argmin = 0
-                    for i in range(1, len(own)):
-                        d, j = own[i]
-                        if d * den <= num * (k - j + 1):
-                            argmin, num, den = i, d, k - j + 1
-                    if argmin:
-                        del own[:argmin]
+                argmin = 0
+                for i in range(1, len(own)):
+                    d, j = own[i]
+                    if d * den <= num * (k - j + 1):
+                        argmin, num, den = i, d, k - j + 1
+                if argmin:
+                    del own[:argmin]
+            else:
+                num, den = 1, 0
+                far = len(reach)  # past every distance
             if num * best_den > best_num * den:
                 best, best_num, best_den = v, num, den
+        self.radius = far - 1
         return best, len(live)
 
 
@@ -143,8 +131,7 @@ def next_fire_source(G: Graph, k: int, S) -> list[int]:
     _check_vertices(G, prefix, "prefix vertex")
     frontier = _Frontier(G.adjacency)
     for x in prefix:
-        frontier.add(x)
-    vertex, unburned = frontier.pick()
+        vertex, unburned = frontier.place(x)
     if not unburned:
         raise RejectedInputError("every vertex is already burned; nothing to place")
     return prefix + [vertex]
@@ -155,14 +142,12 @@ def burn_3approx(G: Graph, x1: int | None = None) -> ApproxResult:
 
     The result always verifies; its length is at most three times the
     burning number, and ``implied_lower`` is a sound lower bound derived
-    from the final failing prefix.  Each source costs one traversal of
-    radius far - 1, far the largest distance of any vertex's last record,
-    not a full BFS; it stays unbounded while a component is unseeded.
-    Rounds scan only the live (unburned) vertices: a vertex leaves once its
-    deadline min_j (d_j + j) falls below k, keeps only the (d, j) records
-    with strictly falling d, and drops the records before its current
-    argmin, which never regain the minimum.  A round is O(live + their
-    records).
+    from the final failing prefix.  Each source is one ``place`` step: a
+    traversal of radius far - 1, far the largest distance of any live
+    vertex's last record (unbounded while a live vertex has no record), then
+    one scan of the live (unburned) vertices and their trimmed records that
+    picks the next source and the next far.  The module docstring gives the
+    facts that keep both exact.
     """
     if G.n == 0:
         raise RejectedInputError("cannot burn the empty graph")
@@ -170,16 +155,13 @@ def burn_3approx(G: Graph, x1: int | None = None) -> ApproxResult:
     _check_vertices(G, (start,), "start vertex")
     sequence = [start]
     frontier = _Frontier(G.adjacency)
-    frontier.add(start)
+    vertex, unburned = frontier.place(start)
     trace: list[tuple[int, int, int]] = []
-    while True:
-        vertex, unburned = frontier.pick()
-        if not unburned:
-            break
+    while unburned:
         length = len(sequence)
         trace.append((length, unburned, -(-length // 3) + 1))
         sequence.append(vertex)
-        frontier.add(vertex)
+        vertex, unburned = frontier.place(vertex)
     k = len(sequence)
     # the last failing prefix, of length k - 1, certifies ceil((k-1)/3) + 1 >= ceil(k/3)
     implied_lower = trace[-1][2] if trace else 1

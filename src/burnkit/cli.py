@@ -459,14 +459,15 @@ def cmd_bench(args) -> int:
     for size in sizes:
         formats._check_vertex_count(size)
     engines = [token for token in args.engines.split(",") if token]
+    runs = [_BURN_ENGINES.get(args.kind if engine == "path" else engine) for engine in engines]
+    for engine, run in zip(engines, runs):
+        if run is None:
+            raise ParseError(f"unknown bench engine {engine!r}")
     results = []
     for size in sizes:
         G = _BENCH_KINDS[args.kind](size)
-        for engine in engines:
+        for engine, run in zip(engines, runs):
             started = time.perf_counter()
-            run = _BURN_ENGINES.get(args.kind if engine == "path" else engine)
-            if run is None:
-                raise ParseError(f"unknown bench engine {engine!r}")
             sequence, extras = run(args, G)
             entry = {"k": len(sequence), **extras, "size": size, "engine": engine}
             if args.timings:

@@ -758,6 +758,18 @@ class TestBench:
         code, _ = run_cli("bench", "--sizes", "9", "--engines", "path,fastest")
         assert code == 3 and "unknown bench engine 'fastest'" in capsys.readouterr().err
 
+    def test_unknown_engine_is_refused_before_any_engine_runs(self, monkeypatch, capsys):
+        from burnkit import cli
+
+        calls = []
+        approx3 = cli._BURN_ENGINES["approx3"]
+        monkeypatch.setitem(cli._BURN_ENGINES, "approx3", lambda args, G: calls.append(G.n) or approx3(args, G))
+        assert run_cli("bench", "--sizes", "9,16", "--engines", "approx3,nope") == (3, "")
+        assert "unknown bench engine 'nope'" in capsys.readouterr().err
+        assert calls == []
+        # with no sizes the engine list is still checked
+        assert run_cli("bench", "--sizes", "", "--engines", "nope") == (3, "")
+
     def test_sizes_past_the_vertex_cap_build_nothing(self, monkeypatch, capsys):
         from burnkit import cli, formats
 

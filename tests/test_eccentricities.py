@@ -171,11 +171,12 @@ def test_small_graphs_match_oracle(case):
 
 class _Work:
     """The traversals of one measured call, by source, the vertices its
-    bounded runs reach, the vertices every run reaches, and the summed
-    length of the distance rows the runs return."""
+    bounded runs reach, the vertices every run reaches, in all and per run,
+    and the summed length of the distance rows the runs return."""
 
     def __init__(self):
         self.sources: list = []
+        self.sizes: list[int] = []
         self.ball_vertices = 0
         self.reached = 0
         self.row_length = 0
@@ -183,6 +184,7 @@ class _Work:
     def __call__(self, fn, g) -> int:
         """Run ``fn(g)`` and return its ``_bfs`` runs."""
         self.sources = []
+        self.sizes = []
         self.ball_vertices = 0
         self.reached = 0
         self.row_length = 0
@@ -207,6 +209,7 @@ def bfs_runs(monkeypatch):
         if radius is not None:
             work.ball_vertices += len(reached)
         work.reached += len(reached)
+        work.sizes.append(len(reached))
         work.row_length += len(dist)
         return dist, reached
 
@@ -249,6 +252,17 @@ def test_approx3_makes_one_bfs_per_source(g, bfs_runs):
     assert bfs_runs.reached <= 0.4 * results[0].k * g.n, (bfs_runs.reached, results[0].k)
     prefix = list(results[0].sequence[:-1])
     assert bfs_runs(lambda g: next_fire_source(g, len(prefix) + 1, prefix), g) == len(prefix)
+
+
+def test_approx3_traversal_radius_counts_live_vertices_only(bfs_runs):
+    # P8 places (0, 7, 4, 3); before the last source only 3 and 5 are live,
+    # each with its last record at distance 1, so the last traversal has
+    # radius 0.  Burned 2 keeps its last record at distance 2, which would
+    # set radius 1 and reach 3 vertices.
+    results = []
+    assert bfs_runs(lambda g: results.append(burn_3approx(g)), path_graph(8)) == 4
+    assert results[0].sequence == (0, 7, 4, 3)
+    assert bfs_runs.sizes == [8, 7, 5, 1] and bfs_runs.reached == 21
 
 
 def _exact_at_budget_zero(g):

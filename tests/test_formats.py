@@ -263,6 +263,8 @@ class TestDumps:
             {"a": {1: [1], "b": [2]}},
             {(1, 2): 1},
             {"a": [1], (1, 2): [2]},
+            {(1, 2): [1]},
+            {"a": {frozenset(): [2]}},
             {"a": {1, 2}},
             {"a": [Fraction(1, 2)]},
             {"a": [[Fraction(1, 2)]]},

@@ -105,6 +105,12 @@ PRECONDITION_CASES = [
         P3,
         SplitPartition(frozenset({0}), frozenset({1, 2})),
     ),
+    (
+        "partition must split the vertex set exactly",
+        validate_split,
+        P3,
+        SplitPartition(frozenset({0}), frozenset({1})),
+    ),
 ]
 
 
@@ -153,3 +159,13 @@ def test_parse_messages_exit_3(tmp_path, capsys, fmt, text, message):
         code = main(["burn", "--format", fmt, str(target)])
     assert (code, buffer.getvalue()) == (3, "")
     assert capsys.readouterr().err == f"parse error: {message}\n"
+
+
+def test_split_clique_outside_the_vertex_set_exits_5(tmp_path, capsys):
+    target = tmp_path / "p3.edges"
+    target.write_text("3 2\n0 1\n1 2\n")
+    buffer = io.StringIO()
+    with redirect_stdout(buffer):
+        code = main(["burn", "--engine", "split", "--clique", "0,99", str(target)])
+    assert (code, buffer.getvalue()) == (5, "")
+    assert capsys.readouterr().err == "precondition violated: partition must split the vertex set exactly\n"

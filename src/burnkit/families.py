@@ -122,15 +122,19 @@ def burn_split(G: Graph, sp: SplitPartition) -> list[int]:
         clique,
         key=lambda c: (sum(1 for u in G.adjacency[c] if u in sp.independent), -c),
     )
+    # one fixed order gives those three choices, since every clique vertex
+    # but first is first's neighbor; a vertex passed over stays burned
+    near = set(G.adjacency[first])
+    candidates = iter(sorted(range(G.n), key=lambda v: (v not in sp.independent, v in near, v)))
     schedule = [first]
-    burned = {first}
+    burned, frontier = {first}, {first}
     while len(burned) < G.n:
-        unburned = [v for v in range(G.n) if v not in burned]
-        independent = [v for v in unburned if v in sp.independent]
-        away_from_first = [v for v in independent if v not in G.adjacency[first]]
-        source = (away_from_first or independent or unburned)[0]
+        source = next(v for v in candidates if v not in burned)
         schedule.append(source)
-        burned |= {source} | neighborhood(G, burned, 1)
+        # only last round's new vertices can spread
+        frontier = {u for v in frontier for u in G.adjacency[v] if u not in burned}
+        frontier.add(source)
+        burned |= frontier
     return schedule
 
 
@@ -146,13 +150,10 @@ def burn_cograph(G: Graph) -> list[int]:
     if G.n == 1:
         return [0]
     for x1 in range(G.n):
-        missing = [v for v in range(G.n) if v != x1 and v not in G.adjacency[x1]]
-        if len(missing) > 1:
-            continue
-        if missing:
-            return [x1, missing[0]]
-        x2 = 0 if x1 != 0 else 1
-        return [x1, x2]
+        # x1 misses at most one other vertex exactly when its degree is at least n - 2
+        if G.degree(x1) >= G.n - 2:
+            missing = set(range(G.n)) - set(G.adjacency[x1]) - {x1}
+            return [x1, missing.pop() if missing else (0 if x1 != 0 else 1)]
     x1 = 0
     ball1 = neighborhood(G, {x1}, 1)
     x3 = min(v for v in range(G.n) if v not in ball1)

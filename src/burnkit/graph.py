@@ -480,10 +480,6 @@ class PermutationPair(Record):
     def k(self) -> int:
         return len(self.perm)
 
-    @property
-    def original(self) -> tuple[int, ...]:
-        return tuple(range(1, self.k + 1))
-
 
 def permutation_graph(pp: PermutationPair) -> Graph:
     """Vertex ``i-1`` per number ``i``; edge iff the pair is inverted by the permutation."""

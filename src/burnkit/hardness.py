@@ -176,10 +176,6 @@ class SubpathSpec(Record):
     label: str
     vertices: tuple[int, ...]
 
-    @property
-    def order(self) -> int:
-        return len(self.vertices)
-
 
 class GadgetCertificate(Record):
     """Construction metadata emitted with a generated hard instance."""

@@ -30,9 +30,11 @@ class FirefightRun(Record):
     violation: tuple[int, str] | None
 
 
-def _spread(adjacency, burned, blocked) -> set[int]:
-    """Neighbors of ``burned`` that are neither burned nor in ``blocked``."""
-    return {u for v in burned for u in adjacency[v] if u not in burned and u not in blocked}
+def _spread(adjacency, frontier, burned, blocked) -> set[int]:
+    """Neighbors of ``frontier``, the vertices the last round burned, that are
+    neither burned nor in ``blocked``: only these can spread, because an
+    earlier vertex has spread already and protection is permanent."""
+    return {u for v in frontier for u in adjacency[v] if u not in burned and u not in blocked}
 
 
 def verify_firefighter(G: Graph, s: int, placements) -> FirefightRun:
@@ -46,7 +48,7 @@ def verify_firefighter(G: Graph, s: int, placements) -> FirefightRun:
     _check_vertices(G, (s,), "fire origin")
     S = tuple(placements)
     _check_vertices(G, S, "placement vertex")
-    burned = {s}
+    burned, frontier = {s}, {s}
     protected: set[int] = set()
     steps = [frozenset(burned)]
     step = 1
@@ -60,10 +62,10 @@ def verify_firefighter(G: Graph, s: int, placements) -> FirefightRun:
                 violation = (step, f"vertex {vertex} already {state}")
                 break
             protected.add(vertex)
-        spread = _spread(G.adjacency, burned, protected)
-        burned |= spread
+        frontier = _spread(G.adjacency, frontier, burned, protected)
+        burned |= frontier
         steps.append(frozenset(burned))
-        if not spread:
+        if not frontier:
             break
     return FirefightRun(
         origin=s,
@@ -80,33 +82,33 @@ def _search_strategies(G: Graph, s: int, max_placements: int) -> FirefightRun:
     """Best strategy by (most saved, fewest placements, lexicographic order).
 
     Depth-first over placement prefixes, ranked by the least key (final
-    burned count, placements, sequence); once no spread is possible, longer
-    sequences change nothing and are skipped.  A prefix is not extended once
-    (burned so far, placements + 1) is no less than the best key's first two
-    parts: each extension burns at least as much with one more firefighter,
-    and the search meets sequences in lexicographic order, so an extension
-    that only ties the best comes after it.
+    burned count, placements, sequence).  Each node spreads from its
+    frontier to its final burn and branches only on the vertices that adds:
+    protecting a vertex the fire cannot reach saves nothing, and dropping it
+    moves later placements a round earlier, a smaller key.  A prefix is not
+    extended once (burned so far, placements + 1) is no less than the best
+    key's first two parts: each extension burns at least as much with one
+    more firefighter, and the search meets sequences in lexicographic order,
+    so an extension that only ties the best comes after it.
     """
     adjacency = G.adjacency
     best = None
 
-    def dfs(sequence: tuple[int, ...], burned: set[int], protected: set[int]) -> None:
+    def dfs(sequence: tuple[int, ...], frontier: set[int], burned: set[int], protected: set[int]) -> None:
         nonlocal best
-        final = set(burned)
-        while spread := _spread(adjacency, final, protected):
-            final |= spread
+        final, wave = set(burned), frontier
+        while wave := _spread(adjacency, wave, final, protected):
+            final |= wave
         key = (len(final), len(sequence), sequence)
         best = key if best is None else min(best, key)
-        if len(sequence) >= max_placements or len(final) == len(burned):
+        if len(sequence) >= max_placements or (len(burned), len(sequence) + 1) >= best[:2]:
             return
-        if (len(burned), len(sequence) + 1) >= best[:2]:
-            return
-        for vertex in range(G.n):
-            if vertex not in burned and vertex not in protected:
-                blocked = protected | {vertex}
-                dfs(sequence + (vertex,), burned | _spread(adjacency, burned, blocked), blocked)
+        for vertex in sorted(final - burned):
+            blocked = protected | {vertex}
+            spread = _spread(adjacency, frontier, burned, blocked)
+            dfs(sequence + (vertex,), spread, burned | spread, blocked)
 
-    dfs((), {s}, set())
+    dfs((), {s}, {s}, set())
     return verify_firefighter(G, s, best[2])
 
 
@@ -146,7 +148,8 @@ def bootstrap_percolate(G: Graph, A, r: int) -> PercolationRun:
     once at least r vertices of its closed neighborhood are infected.
 
     A healthy vertex is not itself infected, so only its infected
-    neighbors count toward r.
+    neighbors count toward r.  ``counts`` tallies them from each step's
+    new vertices, whose neighbors alone can newly reach r.
     """
     seed = frozenset(A)
     _check_vertices(G, seed, "seed vertex")
@@ -154,17 +157,21 @@ def bootstrap_percolate(G: Graph, A, r: int) -> PercolationRun:
         raise RejectedInputError("infection threshold must be at least 2")
     timeline = [seed]
     current = set(seed)
+    counts = [0] * G.n
+    new = seed
     while True:
-        infected = {
-            v
-            for v in range(G.n)
-            if v not in current
-            and sum(1 for u in G.adjacency[v] if u in current) >= r
-        }
+        infected = set()
+        for v in new:
+            for u in G.adjacency[v]:
+                if u not in current:
+                    counts[u] += 1
+                    if counts[u] >= r:
+                        infected.add(u)
         if not infected:
             break
         current |= infected
         timeline.append(frozenset(current))
+        new = infected
     return PercolationRun(
         seed=seed,
         threshold=r,

@@ -13,15 +13,20 @@ from hypothesis import strategies as st
 from burnkit import (
     Graph,
     NodeBudgetError,
+    NotBurnableIn3Error,
+    RejectedInputError,
     SplitPartition,
     cli,
     from_edge_list,
     lower_bound,
+    neighborhood,
     upper_bound_radius,
+    validate_split,
     verify,
 )
-from burnkit.graph import _bfs
+from burnkit.graph import _bfs, _check_vertices
 from burnkit.hardness import gen_spider
+from burnkit.processes import FirefightRun, PercolationRun
 
 
 def path_graph(n: int) -> Graph:
@@ -92,6 +97,14 @@ P, Q, R, S, T, U, V, W = range(8)
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return from_edge_list(n, edges)
+
+
+def atlas_and_random_graphs(rng: random.Random, count: int) -> list[Graph]:
+    """Every graph of networkx's atlas (all 1253 on at most 7 vertices), then
+    ``count`` random graphs on 8 to 14 vertices; skips without networkx."""
+    nx = pytest.importorskip("networkx")
+    atlas = [from_edge_list(h.number_of_nodes(), h.edges()) for h in nx.graph_atlas_g()]
+    return atlas + [random_graph(rng, rng.randint(8, 14), rng.random()) for _ in range(count)]
 
 
 def random_connected_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -298,6 +311,153 @@ def reference_firefight(G: Graph, s: int, max_placements: int) -> tuple[int, ...
 
     dfs((), {s}, set())
     return best[2]
+
+
+class _CountedRows(tuple):
+    """Adjacency rows that count each indexed read, ``adjacency[v]``."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+def row_reads(G: Graph, call, *args) -> int:
+    """The adjacency rows ``call(G, *args)`` reads; G's rows are swapped for
+    counted ones, so build G for this call alone."""
+    object.__setattr__(G, "adjacency", _CountedRows(G.adjacency))
+    call(G, *args)
+    return G.adjacency.reads
+
+
+# The four functions below are the whole-graph rescans that the frontier
+# loops in burnkit replaced, kept as the references those loops must match
+# field for field.
+
+
+def reference_verify_firefighter(G: Graph, s: int, placements) -> FirefightRun:
+    """``processes.verify_firefighter`` spreading from the whole burned set
+    every round."""
+
+    def spread(burned, blocked) -> set[int]:
+        return {u for v in burned for u in G.adjacency[v] if u not in burned and u not in blocked}
+
+    _check_vertices(G, (s,), "fire origin")
+    S = tuple(placements)
+    _check_vertices(G, S, "placement vertex")
+    burned = {s}
+    protected: set[int] = set()
+    steps = [frozenset(burned)]
+    step = 1
+    violation = None
+    while True:
+        step += 1
+        if step - 2 < len(S):
+            vertex = S[step - 2]
+            if vertex in burned or vertex in protected:
+                state = "burned" if vertex in burned else "protected"
+                violation = (step, f"vertex {vertex} already {state}")
+                break
+            protected.add(vertex)
+        grown = spread(burned, protected)
+        burned |= grown
+        steps.append(frozenset(burned))
+        if not grown:
+            break
+    return FirefightRun(
+        origin=s,
+        placements=S,
+        burned_steps=tuple(steps),
+        protected=frozenset(protected),
+        saved=G.n - len(burned),
+        valid=violation is None,
+        violation=violation,
+    )
+
+
+def reference_bootstrap_percolate(G: Graph, A, r: int) -> PercolationRun:
+    """``processes.bootstrap_percolate`` rescanning every vertex every step."""
+    seed = frozenset(A)
+    _check_vertices(G, seed, "seed vertex")
+    if r < 2:
+        raise RejectedInputError("infection threshold must be at least 2")
+    timeline = [seed]
+    current = set(seed)
+    while True:
+        infected = {
+            v
+            for v in range(G.n)
+            if v not in current
+            and sum(1 for u in G.adjacency[v] if u in current) >= r
+        }
+        if not infected:
+            break
+        current |= infected
+        timeline.append(frozenset(current))
+    return PercolationRun(
+        seed=seed,
+        threshold=r,
+        timeline=tuple(timeline),
+        percolates=len(current) == G.n,
+    )
+
+
+def reference_burn_split(G: Graph, sp: SplitPartition) -> list[int]:
+    """``families.burn_split`` rebuilding its three candidate lists, and a
+    ball around the whole burned set, every round."""
+    validate_split(G, sp)
+    if G.n == 0:
+        raise RejectedInputError("cannot burn the empty graph")
+    clique = sorted(sp.clique) or [min(sp.independent)]
+    first = max(
+        clique,
+        key=lambda c: (sum(1 for u in G.adjacency[c] if u in sp.independent), -c),
+    )
+    schedule = [first]
+    burned = {first}
+    while len(burned) < G.n:
+        unburned = [v for v in range(G.n) if v not in burned]
+        independent = [v for v in unburned if v in sp.independent]
+        away_from_first = [v for v in independent if v not in G.adjacency[first]]
+        source = (away_from_first or independent or unburned)[0]
+        schedule.append(source)
+        burned |= {source} | neighborhood(G, burned, 1)
+    return schedule
+
+
+def reference_burn_cograph(G: Graph) -> list[int]:
+    """``families.burn_cograph`` listing every vertex each candidate hub misses."""
+    if G.n == 0:
+        raise RejectedInputError("cannot burn the empty graph")
+    if G.n == 1:
+        return [0]
+    for x1 in range(G.n):
+        missing = [v for v in range(G.n) if v != x1 and v not in G.adjacency[x1]]
+        if len(missing) > 1:
+            continue
+        if missing:
+            return [x1, missing[0]]
+        x2 = 0 if x1 != 0 else 1
+        return [x1, x2]
+    x1 = 0
+    ball1 = neighborhood(G, {x1}, 1)
+    x3 = min(v for v in range(G.n) if v not in ball1)
+    x2 = min(v for v in range(G.n) if v not in (x1, x3))
+    schedule = [x1, x2, x3]
+    if len(neighborhood(G, {x1}, 2)) != G.n:
+        raise NotBurnableIn3Error(
+            "bounded three-round search failed; not a connected cograph"
+        )
+    return schedule
+
+
+def outcome(call, *args):
+    """``call(*args)``'s result, or the type and message of the toolkit error it raised."""
+    try:
+        return call(*args)
+    except RejectedInputError as exc:
+        return type(exc), str(exc)
 
 
 def run_main(argv: list[str], reference: bool = False) -> tuple[object, str, str]:

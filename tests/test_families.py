@@ -25,12 +25,17 @@ from burnkit import (
 )
 
 from helpers import (
+    atlas_and_random_graphs,
     complete_graph,
     cycle_graph,
+    outcome,
     path_graph,
     random_connected_cograph,
     random_interval_pairs,
     random_split_graph,
+    reference_burn_cograph,
+    reference_burn_split,
+    row_reads,
 )
 
 
@@ -271,6 +276,51 @@ class TestBurnCograph:
     def test_non_cograph_detected(self):
         with pytest.raises(NotBurnableIn3Error):
             burn_cograph(path_graph(9))
+
+
+def _two_hubs_last(n):
+    """K2 joined to n - 2 isolated vertices, the two hubs numbered last."""
+    hubs = (n - 2, n - 1)
+    return from_edge_list(n, [hubs] + [(v, h) for v in range(n - 2) for h in hubs])
+
+
+@pytest.mark.parametrize(
+    "build, sizes, run",
+    [
+        (
+            lambda n: from_edge_list(n, []),
+            (500, 2000),
+            lambda G: burn_split(G, SplitPartition(frozenset(), frozenset(range(G.n)))),
+        ),
+        (_two_hubs_last, (250, 1000), burn_cograph),
+    ],
+    ids=["split-isolated", "cograph-hubs-last"],
+)
+def test_rows_are_read_a_bounded_number_of_times(build, sizes, run):
+    """Four times the vertices read at most 4.5 times the adjacency rows.
+    A ball around the whole burned set every round, or a list of n for
+    every candidate hub, reads 16 times as many."""
+    small, large = (row_reads(build(size), run) for size in sizes)
+    assert large <= 4.5 * small
+
+
+class TestSameSchedulesAsTheRescans:
+    """The schedules, and refusals, of the whole-graph rescans in ``helpers``."""
+
+    def test_split_schedules(self):
+        rng = random.Random(97)
+        cases = [(g, split_partition(g)) for g in atlas_and_random_graphs(rng, 100)]
+        cases += [random_split_graph(rng, rng.randint(1, 14), connected=False) for _ in range(100)]
+        for g, sp in cases:
+            if sp is not None:
+                assert outcome(burn_split, g, sp) == outcome(reference_burn_split, g, sp), g.edges()
+
+    def test_cograph_schedules(self):
+        rng = random.Random(101)
+        graphs = atlas_and_random_graphs(rng, 100)
+        graphs += [random_connected_cograph(rng, rng.randint(1, 14)) for _ in range(100)]
+        for g in graphs:
+            assert outcome(burn_cograph, g) == outcome(reference_burn_cograph, g), g.edges()
 
 
 class TestBurnIntervalApprox:

@@ -15,10 +15,12 @@ from contextlib import redirect_stdout
 import pytest
 
 from burnkit import (
+    BurnkitError,
     DiskArrangement,
     DisconnectedGraphError,
     Graph,
     IntervalSet,
+    InvalidSequenceError,
     RejectedInputError,
     SplitPartition,
     bfs_distances,
@@ -38,6 +40,7 @@ from burnkit import (
     validate_split,
     verify_firefighter,
 )
+from burnkit import cli
 from burnkit.cli import main
 
 from helpers import path_graph
@@ -169,3 +172,38 @@ def test_split_clique_outside_the_vertex_set_exits_5(tmp_path, capsys):
         code = main(["burn", "--engine", "split", "--clique", "0,99", str(target)])
     assert (code, buffer.getvalue()) == (5, "")
     assert capsys.readouterr().err == "precondition violated: partition must split the vertex set exactly\n"
+
+
+@pytest.mark.parametrize("text", ["{}", "[]"], ids=["empty-object", "list"])
+def test_certificate_without_claimed_k_exits_3(tmp_path, capsys, text):
+    certificate = tmp_path / "c.cert.json"
+    certificate.write_text(text)
+    target = tmp_path / "p3.edges"
+    target.write_text("3 2\n0 1\n1 2\n")
+    buffer = io.StringIO()
+    with redirect_stdout(buffer):
+        code = main(["verify", "--certificate", str(certificate), str(target)])
+    assert (code, buffer.getvalue()) == (3, "")
+    assert capsys.readouterr().err == "parse error: certificate JSON missing required fields\n"
+
+
+@pytest.mark.parametrize(
+    "error, code, prefix",
+    [(InvalidSequenceError, 2, "invalid sequence"), (BurnkitError, 1, "error")],
+    ids=["invalid-sequence", "catch-all"],
+)
+def test_errors_no_command_raises_exit_cleanly(monkeypatch, tmp_path, capsys, error, code, prefix):
+    """No CLI path raises either error now; the handlers keep a future one
+    from ending in a traceback."""
+
+    def engine(args, G):
+        raise error("boom")
+
+    monkeypatch.setitem(cli._BURN_ENGINES, "path", engine)
+    target = tmp_path / "p3.edges"
+    target.write_text("3 2\n0 1\n1 2\n")
+    buffer = io.StringIO()
+    with redirect_stdout(buffer):
+        exit_code = main(["burn", "--engine", "path", str(target)])
+    assert (exit_code, buffer.getvalue()) == (code, "")
+    assert capsys.readouterr().err == f"{prefix}: boom\n"

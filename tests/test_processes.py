@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -15,12 +16,16 @@ from burnkit import processes
 from burnkit.hardness import gen_spider
 
 from helpers import (
+    atlas_and_random_graphs,
     complete_graph,
     grid_graph,
     path_graph,
     random_graph,
     random_split_graph,
+    reference_bootstrap_percolate,
     reference_firefight,
+    reference_verify_firefighter,
+    row_reads,
 )
 
 
@@ -203,6 +208,69 @@ class TestStrategySearch:
         run = firefight_bruteforce(graph, origin)
         assert run.placements == reference_firefight(graph, origin, graph.n)
         assert count == calls
+
+    def test_vertices_the_fire_cannot_reach_are_not_placed(self, monkeypatch):
+        """Ten isolated vertices beside the 3x3 grid add no search work;
+        branching on them too spreads 1,314 times."""
+        grid = grid_graph(3, 3)
+        count = 0
+        spread = processes._spread
+
+        def counted(*args):
+            nonlocal count
+            count += 1
+            return spread(*args)
+
+        monkeypatch.setattr(processes, "_spread", counted)
+        run = firefight_bruteforce(from_edge_list(19, grid.edges()), 0, cap=19)
+        assert run.placements == (1, 4, 7)
+        assert count == 234
+
+
+def _diagonal(G):
+    """The diagonal of a square grid."""
+    return range(0, G.n, math.isqrt(G.n) + 1)
+
+
+@pytest.mark.parametrize(
+    "build, sizes, run",
+    [
+        (path_graph, (500, 2000), lambda G: verify_firefighter(G, 0, [])),
+        (lambda a: grid_graph(a, a), (20, 40), lambda G: bootstrap_percolate(G, _diagonal(G), 2)),
+    ],
+    ids=["firefight-path-end", "percolate-grid-diagonal"],
+)
+def test_rows_are_read_once_per_vertex(build, sizes, run):
+    """Each vertex's row is read as it joins the last round's new vertices,
+    so four times the vertices read at most 4.5 times the rows.  Rescanning
+    the burned set, or every vertex, each round reads 16 times as many on
+    the path and 8 times on the grid."""
+    small, large = (row_reads(build(size), run) for size in sizes)
+    assert large <= 4.5 * small
+
+
+class TestSameOutputAsTheRescans:
+    """Every field of every run matches the whole-graph rescans in
+    ``helpers``, on the atlas and on random graphs."""
+
+    def test_firefight_runs(self):
+        rng = random.Random(83)
+        for g in atlas_and_random_graphs(rng, 100):
+            for s in range(g.n):
+                # no placements, distinct ones, and one vertex twice
+                some = rng.sample(range(g.n), rng.randint(1, g.n))
+                for placements in ([], some, [rng.randrange(g.n)] * 2):
+                    run = verify_firefighter(g, s, placements)
+                    assert run == reference_verify_firefighter(g, s, placements), (g.edges(), s, placements)
+
+    def test_percolation_timelines(self):
+        rng = random.Random(89)
+        for g in atlas_and_random_graphs(rng, 100):
+            for _ in range(3):
+                seed = rng.sample(range(g.n), rng.randint(0, g.n))
+                for r in (2, 3):
+                    expected = reference_bootstrap_percolate(g, seed, r)
+                    assert bootstrap_percolate(g, seed, r) == expected, (g.edges(), seed, r)
 
 
 class TestBootstrapPercolation:

@@ -4,6 +4,12 @@ A burning run places one new fire source per round and then spreads fire one
 hop from everything burned in earlier rounds.  A sequence of k sources is
 valid when no source lands on an already-burned vertex, and complete when
 round k leaves no vertex unburned.
+
+``simulate`` is the one implementation of the process; ``coverage``,
+``covers_all`` and ``verify`` read its outcome.  The closed-form lemma
+(Bonato, Janssen & Roshanbin 2016) states what it computes: with sources
+x_0..x_{k-1}, the run is valid iff d(x_i, x_j) >= j - i for every i < j, and
+it burns the union of the balls of radius k-1-i around x_i.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ def simulate(G: Graph, sequence) -> BurnOutcome:
     Placement precedes spread within a round, and spread emanates only from
     vertices burned in earlier rounds.  An illegal placement (on an
     already-burned vertex) marks the outcome invalid but the process keeps
-    running so that the final burned set still matches the coverage formula.
+    running, so the final burned set is still the union of all k balls.
     """
     S = _check_sequence(G, sequence)
     burn_step: list[int | None] = [None] * G.n
@@ -82,51 +88,31 @@ def simulate(G: Graph, sequence) -> BurnOutcome:
     )
 
 
-def _balls(G: Graph, sequence) -> tuple[list[list[int]], bool]:
-    """Per source i (0-based), the vertices of its radius k-i-1 ball, and
-    whether no later source x_j lies within distance j-i-1 of an earlier
-    source x_i (it would already be burned when placed).
-
-    One source at a time, the later sources are read from its ball's distance
-    row, which is then dropped, so only the k sparse balls are kept.
-    """
-    S = _check_sequence(G, sequence)
-    k = len(S)
-    balls = []
-    legal = True
-    for i, source in enumerate(S):
-        dist, reached = _bfs(G.adjacency, (source,), k - i - 1)
-        # UNREACHED is negative
-        legal = legal and not any(0 <= dist[S[j]] < j - i for j in range(i + 1, k))
-        balls.append(reached)
-    return balls, legal
-
-
 def coverage(G: Graph, sequence) -> set[int]:
-    """Union of the k balls a k-round run reaches: radius k-i around source i."""
-    balls, _ = _balls(G, sequence)
-    return set().union(*balls)
+    """The vertices a k-round run burns: by the closed-form lemma, the union
+    of the balls of radius k-1-i around sources i = 0..k-1, an illegal source
+    included, as it lies inside an earlier source's ball."""
+    steps = simulate(G, sequence).schedule.burn_step
+    return {v for v, step in enumerate(steps) if step is not None}
 
 
 def covers_all(G: Graph, sequence) -> bool:
-    """Whether the coverage union equals the whole vertex set."""
-    return len(coverage(G, sequence)) == G.n
+    """Whether a k-round run burns every vertex."""
+    return simulate(G, sequence).complete
 
 
 def verify(G: Graph, sequence) -> bool:
-    """Polynomial validity check for a burning sequence: the closed form of burning.
-
-    True iff the k coverage balls together reach every vertex and no later
-    source sits inside an earlier source's forbidden ball (which would mean
-    it was already burned when placed).
-    """
-    balls, legal = _balls(G, sequence)
-    return legal and len(set().union(*balls)) == G.n
+    """Whether ``sequence`` is a burning sequence, a run of it valid and
+    complete: by the closed-form lemma, d(x_i, x_j) >= j - i for every i < j
+    and the coverage balls reach every vertex."""
+    outcome = simulate(G, sequence)
+    return outcome.valid and outcome.complete
 
 
 def clusters(G: Graph, sequence) -> list[frozenset[int]]:
-    """Per-source coverage balls of a valid sequence (radius k-i around source i)."""
-    balls, legal = _balls(G, sequence)
-    if not (legal and len(set().union(*balls)) == G.n):
+    """Per-source balls of a burning sequence: radius k-1-i around source i = 0..k-1."""
+    S = tuple(sequence)
+    if not verify(G, S):
         raise InvalidSequenceError("clusters are defined only for valid burning sequences")
-    return [frozenset(ball) for ball in balls]
+    k = len(S)
+    return [frozenset(_bfs(G.adjacency, (source,), k - i - 1)[1]) for i, source in enumerate(S)]

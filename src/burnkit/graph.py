@@ -361,7 +361,8 @@ def _ratio(value) -> tuple[int, int]:
     reads it: the same value, or RejectedInputError with the same message.
 
     Fraction's grammar allows space and a sign only before a numerator, and
-    ``int`` reads every numerator that ends in a digit as Fraction would once
+    ``int`` reads every numerator that ends in a digit and holds no ``_``
+    (which Fraction reads only from Python 3.11 on) as Fraction would once
     ``str.lstrip`` has taken the space off (``int`` keeps U+001C to U+001F),
     so integers and ``int/int`` strings skip its regex; every other string, a
     zero denominator included, goes through Fraction.
@@ -370,7 +371,7 @@ def _ratio(value) -> tuple[int, int]:
         if isinstance(value, str):
             numerator, slash, denominator = value.partition("/")
             if slash:
-                if denominator.isdecimal() and numerator[-1:].isdecimal():
+                if denominator.isdecimal() and numerator[-1:].isdecimal() and "_" not in numerator:
                     d = int(denominator)
                     if d:
                         n = int(numerator.lstrip())

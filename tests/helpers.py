@@ -201,6 +201,26 @@ def reference_ball_masks(G: Graph, k: int) -> list[list[int]]:
     return masks
 
 
+def reference_closed_form(G: Graph, S) -> tuple[bool, set[int]]:
+    """``(legal, covered)`` of sources x_0..x_{k-1} by the closed form of
+    burning, from networkx distances: legal iff d(x_i, x_j) >= j - i for
+    every i < j, covered the union of ball(x_i, k - 1 - i).
+
+    The oracle for ``verify`` and ``coverage``, which run the process
+    instead; skips without networkx.
+    """
+    nx = pytest.importorskip("networkx")
+    H = nx.Graph()
+    H.add_nodes_from(range(G.n))
+    H.add_edges_from(G.edges())
+    k = len(S)
+    rows = [nx.single_source_shortest_path_length(H, x) for x in S]
+    # a source in another component is farther than any j - i < k
+    legal = all(rows[i].get(S[j], k) >= j - i for i in range(k) for j in range(i + 1, k))
+    covered = {v for i, row in enumerate(rows) for v, d in row.items() if d <= k - 1 - i}
+    return legal, covered
+
+
 def all_optimal_sequences(G: Graph, k: int) -> list[tuple[int, ...]]:
     """Every verifying sequence of length k, by exhaustive enumeration."""
     return [S for S in itertools.permutations(range(G.n), k) if verify(G, S)]

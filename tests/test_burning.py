@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -9,8 +10,10 @@ from burnkit import (
     InvalidSequenceError,
     RejectedInputError,
     bfs_distances,
+    burn_path,
     clusters,
     coverage,
+    covers_all,
     from_edge_list,
     simulate,
     verify,
@@ -19,8 +22,11 @@ from burnkit import (
 from helpers import (
     all_optimal_sequences,
     fig_example_graph,
+    grid_graph,
     path_graph,
     random_graph,
+    reference_closed_form,
+    row_reads,
     P, Q, R, S, T, U, V, W,
 )
 
@@ -97,9 +103,12 @@ class TestAgreementWithSimulation:
     def test_verify_iff_valid_and_complete(self, case):
         g, sequence = case
         outcome = simulate(g, sequence)
-        burned = {v for v, s in enumerate(outcome.schedule.burn_step) if s is not None}
-        assert burned == coverage(g, sequence)
-        assert verify(g, sequence) == (outcome.valid and outcome.complete)
+        legal, covered = reference_closed_form(g, sequence)
+        complete = len(covered) == g.n
+        assert (outcome.valid, outcome.complete) == (legal, complete)
+        assert coverage(g, sequence) == covered
+        assert covers_all(g, sequence) == complete
+        assert verify(g, sequence) == (legal and complete)
         # the round of every vertex is its earliest arrival i+1+d(x_i, v)
         # over the balls that reach it, from full-row distances
         k = len(sequence)
@@ -122,10 +131,31 @@ class TestAgreementWithSimulation:
             seq = rng.sample(range(n), k) if rng.random() < 0.8 else [
                 rng.randrange(n) for _ in range(k)
             ]
-            out = simulate(g, seq)
-            burned = {v for v, s in enumerate(out.schedule.burn_step) if s is not None}
-            assert burned == coverage(g, seq)
-            assert verify(g, seq) == (out.valid and out.complete)
+            legal, covered = reference_closed_form(g, seq)
+            assert coverage(g, seq) == covered
+            assert verify(g, seq) == (legal and len(covered) == g.n)
+
+
+@pytest.mark.parametrize("check", [verify, coverage, covers_all], ids=["verify", "coverage", "covers_all"])
+@pytest.mark.parametrize(
+    "build, sizes, sources",
+    [
+        (lambda a: grid_graph(a, a), (20, 40), lambda G: range(0, G.n, math.isqrt(G.n))),
+        (path_graph, (2500, 10000), lambda G: burn_path(range(G.n))),
+    ],
+    ids=["grid-one-source-per-row", "path-optimum"],
+)
+def test_checks_run_the_process_once(check, build, sizes, sources, bfs_runs):
+    """The checks read the one simulation: no BFS, and each row read at most
+    once, as its vertex joins the last round's new vertices, so at most n
+    rows, and four times the vertices read at most 4.5 times the rows.  One
+    bounded BFS per source read 1,855 and 15,410 rows on the grids."""
+    rows = []
+    for size in sizes:
+        g = build(size)
+        assert bfs_runs(lambda g: rows.append(row_reads(g, check, sources(g))), g) == 0
+        assert rows[-1] <= g.n, rows
+    assert rows[1] <= 4.5 * rows[0], rows
 
 
 class TestClusters:

@@ -13,10 +13,14 @@ Input formats (``--format``):
   permutation  one entry of the permutation of 1..k per line
   disks        one disk per line as ``x y r`` (rationals)
 
-Parsing: a job's argv is parsed once, by the parser of the subcommand it
-names.  The full parser, which would find that subparser and hand it the
-rest, runs only when there is no such subcommand or arguments are left over,
-so that its usage and error messages are the ones printed.
+Parsing: argparse declares every option, and its actions are the only
+option table.  A plain argv (exact option strings, each value a separate
+token that does not start with ``-``, every value of the right type and
+among the choices, nothing missing or left over) is read straight from the
+named subcommand's actions, and argparse does not run.  Every other argv,
+``-h``, ``--opt=value``, abbreviations, negative numbers, ``--`` and every
+usage error included, goes to the full parser, so the help, usage and error
+messages are argparse's own.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ def _int_list(text: str) -> list[int]:
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
@@ -406,7 +410,7 @@ def cmd_gen(args) -> int:
     for path, text in outputs.items():
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text)
+            path.write_text(text, encoding="utf-8")
         except OSError as exc:
             raise ParseError(f"cannot write {path}: {exc}") from exc
     record["n"] = G.n
@@ -565,24 +569,94 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     return parser, sub.choices
 
 
+@functools.cache
+def _table(command: str) -> tuple | None:
+    """What the reader needs of a subcommand's parser, from its own actions:
+    option string -> store or store-true action, the positionals in order,
+    the namespace's defaults and the required options.  None where a
+    positional is of a form the reader does not take."""
+    sub = _parsers()[1][command]
+    options, positionals, defaults, required = {}, [], {}, set()
+    for action in sub._actions:
+        plain = type(action) is argparse._StoreAction and action.nargs is None
+        if action.option_strings:
+            if plain or type(action) is argparse._StoreTrueAction:
+                options.update(dict.fromkeys(action.option_strings, action))
+            if action.required:
+                required.add(action)
+        elif plain:
+            positionals.append(action)
+        else:
+            return None
+        default = action.default
+        if default is not argparse.SUPPRESS:
+            # argparse puts a string default through the type, as it would a value
+            if isinstance(default, str) and action.type is not None:
+                default = action.type(default)
+            defaults[action.dest] = default
+    for dest, default in sub._defaults.items():
+        defaults.setdefault(dest, default)
+    return options, positionals, defaults, required
+
+
+def _read_argv(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace of a plain argv, read from its subparser's ``_table``,
+    or None for argparse to answer.
+
+    Plain is: a subcommand name, then exact option strings of store or
+    store-true actions, each store option followed by a value, and the
+    positionals in order, where no value or positional starts with ``-``;
+    every positional and required option is present, and every value passes
+    its type and choices.  The namespace is then the one the full parser
+    returns.
+    """
+    table = _table(argv[0]) if argv and argv[0] in _parsers()[1] else None
+    if table is None:
+        return None
+    options, positionals, defaults, required = table
+    values, seen, count = {}, set(), 0
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            action = options.get(token)
+            if action is None:
+                return None
+            seen.add(action)
+            if action.nargs == 0:
+                values[action.dest] = action.const
+                continue
+            token = next(tokens, "-")
+            if token.startswith("-"):
+                return None
+        elif count < len(positionals):
+            action = positionals[count]
+            count += 1
+        else:
+            return None
+        try:
+            value = token if action.type is None else action.type(token)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if count < len(positionals) or not required <= seen:
+        return None
+    return argparse.Namespace(command=argv[0], **(defaults | values))
+
+
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    subparser = _parsers()[1].get(argv[0]) if argv else None
-    if subparser is not None:
-        args, extras = subparser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not extras:
-            return args
-    return build_parser().parse_args(argv)
+    args = _read_argv(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:
     """Run one job; returns its exit code (argparse exits 2 on a usage error).
 
-    The subcommand's own parser reads the arguments after the subcommand
-    name, so a job's argv is parsed once; the full parser would scan it to
-    find the subcommand and then hand the rest to that same subparser.  The
-    full parser runs instead when ``argv[0]`` names no subcommand or the
-    subparser leaves arguments over: there it is the one that reports the
-    error, so every usage, help and error message is the full parser's.
+    A plain argv is read from the subcommand parser's own actions, and
+    argparse does not run; any other argv, help and every usage error
+    included, is parsed by the full parser, so every usage, help and error
+    message is argparse's (see ``_read_argv``).
     """
     args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from burnkit import cli
 from burnkit.cli import _BURN_ENGINES, build_parser, main
 from burnkit.formats import format_edge_list
 
@@ -465,6 +466,25 @@ class TestUnreadableAndUnwritableFiles:
             ["verify", "--certificate", str(cert), p9], capsys, "cannot read", "bad.cert.json"
         )
 
+    @pytest.mark.parametrize(
+        "content, code, message",
+        [(b"2 1\n0 1 # caf\xc3\xa9\n", 0, ""), (b"2 1\n0 1 # caf\xe9\n", 3, "'utf-8' codec can't decode")],
+        ids=["utf8", "latin1"],
+    )
+    def test_input_is_utf8_whatever_the_locale(self, tmp_path, content, code, message):
+        target = tmp_path / "f.edges"
+        target.write_bytes(content)
+        src = Path(__file__).resolve().parent.parent / "src"
+        # the C locale's encoding is ASCII once neither coercion nor UTF-8 mode applies
+        env = {**os.environ, "PYTHONPATH": str(src), "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}
+        proc = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-m", "burnkit", "verify", str(target), "--sequence", "0,1"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == code and message in proc.stderr, proc.stderr
+
     def test_certificate_nested_too_deep(self, p9, tmp_path, capsys):
         cert = tmp_path / "deep.cert.json"
         cert.write_text("[" * 100_000 + "]" * 100_000)
@@ -551,7 +571,7 @@ class TestUnreadableAndUnwritableFiles:
         ],
     )
     def test_gen_checks_the_cap_before_building(self, kind, options, n, monkeypatch, tmp_path, capsys):
-        from burnkit import cli, formats
+        from burnkit import formats
 
         def refuse(*args):
             raise AssertionError(f"{kind} built a graph past the vertex cap")
@@ -672,9 +692,9 @@ def _modules_after_fresh_import() -> set[str]:
     return set(proc.stdout.split())
 
 
-class TestSingleParse:
-    """main parses with the subcommand's parser alone, and answers every
-    argv byte for byte as the full parser does."""
+class TestArgvReader:
+    """main reads a plain argv from the subcommand parser's own actions, and
+    answers every argv byte for byte as the full parser does."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -690,6 +710,9 @@ class TestSingleParse:
             ["burn", "--engine", "path", "--", "{p9}"],
             ["burn", "--", "--engine", "path", "{p9}"],
             ["--", "burn", "{p9}"],
+            ["burn", "{p9}", "--engine=path"],
+            ["burn", "{p9}", "--engine", "approx3", "--x1", "-1"],
+            ["burn", "{p9}", "--eng", "path"],
         ],
     )
     def test_answers_as_the_full_parser_does(self, p9, argv):
@@ -708,17 +731,43 @@ class TestSingleParse:
         ],
         ids=lambda argv: argv[0],
     )
-    def test_a_job_is_parsed_once(self, monkeypatch, p9, tmp_path, argv):
+    def test_a_plain_job_runs_no_argparse_parse(self, monkeypatch, p9, tmp_path, argv):
+        argv = [arg.format(p9=p9, tmp=tmp_path) for arg in argv]
         calls = []
-        parse = argparse.ArgumentParser.parse_known_args
+        with monkeypatch.context() as patch:
+            for name in ("parse_args", "parse_known_args"):
+                parse = getattr(argparse.ArgumentParser, name)
 
-        def counted(parser, *args, **kwargs):
-            calls.append(parser.prog)
-            return parse(parser, *args, **kwargs)
+                def counted(parser, *args, _parse=parse, **kwargs):
+                    calls.append(parser.prog)
+                    return _parse(parser, *args, **kwargs)
 
-        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
-        code, _ = run_cli(*(arg.format(p9=p9, tmp=tmp_path) for arg in argv))
-        assert code == 0 and calls == [f"burnkit {argv[0]}"]
+                patch.setattr(argparse.ArgumentParser, name, counted)
+            code, _ = run_cli(*argv)
+        assert code == 0 and calls == []
+        assert vars(cli._read_argv(argv)) == vars(build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["blaze", "p9"],
+            ["burn", "-h"],
+            ["burn", "p9", "--engine=path"],
+            ["burn", "p9", "--eng", "path"],
+            ["burn", "p9", "--engine", "approx3", "--x1", "-1"],
+            ["burn", "--engine", "path", "--", "p9"],
+            ["burn", "p9", "--engine", "fastest"],
+            ["burn", "p9", "--node-budget", "lots"],
+            ["burn", "p9", "--engine"],
+            ["burn", "p9", "p9"],
+            ["burn", "--engine", "path"],
+            ["firefight", "p9"],
+            ["gen", "spiral", "--out", "g"],
+        ],
+    )
+    def test_the_reader_hands_back_every_other_form(self, argv):
+        assert cli._read_argv(argv) is None
 
 
 class TestBench:
@@ -759,8 +808,6 @@ class TestBench:
         assert code == 3 and "unknown bench engine 'fastest'" in capsys.readouterr().err
 
     def test_unknown_engine_is_refused_before_any_engine_runs(self, monkeypatch, capsys):
-        from burnkit import cli
-
         calls = []
         approx3 = cli._BURN_ENGINES["approx3"]
         monkeypatch.setitem(cli._BURN_ENGINES, "approx3", lambda args, G: calls.append(G.n) or approx3(args, G))

@@ -104,37 +104,63 @@ def _subcommands() -> dict[str, argparse.ArgumentParser]:
     return cli._parsers()[1]
 
 
+def _abbreviations(parser: argparse.ArgumentParser, option: str) -> list[str]:
+    """The prefixes of ``option`` that argparse reads as ``option`` alone."""
+    others = [other for other in parser._option_string_actions if other != option]
+    return [
+        option[:end] for end in range(3, len(option)) if not any(o.startswith(option[:end]) for o in others)
+    ]
+
+
 @st.composite
-def invocations(draw, workdir: Path) -> list[str]:
-    """An argv over one subcommand's options, each optional one present or not."""
+def invocations(draw, workdir: Path) -> tuple[list[str], str]:
+    """An argv over one subcommand's options, each optional one present or
+    not, and the format it names last.  An option comes as ``--opt value``,
+    ``--opt=value``, an unambiguous abbreviation or twice; the positionals
+    come first, last or after ``--``."""
     command = draw(st.sampled_from(sorted(_subcommands())))
+    parser = _subcommands()[command]
     files = {
         "input": _mostly(st.just("input"), st.sampled_from(["absent", "."])),
         "certificate": _mostly(st.just("cert.json"), st.just("absent")),
         "out": _mostly(st.just("out/g"), st.just("input/g")),
     }
     engines = st.lists(st.sampled_from([*cli._BURN_ENGINES, "fastest"]), max_size=3).map(",".join)
-    argv = [command]
-    for action in _subcommands()[command]._actions:
-        if action.dest == "help" or not (action.required or draw(st.booleans())):
-            continue
+
+    def value(action) -> str:
         if action.choices is not None:
-            value = draw(_mostly(st.sampled_from(list(action.choices)), st.just("bogus")))
-        elif action.type in (int, float):
+            return draw(_mostly(st.sampled_from(list(action.choices)), st.just("bogus")))
+        if action.type in (int, float):
             # at most 9, a node budget or --vertex-cap included; --pk at most 5
             top = 5 if action.dest == "pk" else 9
-            value = draw(_mostly(st.integers(-1, top).map(str), MALFORMED))
-        elif action.dest in files:
-            value = str(workdir / draw(files[action.dest]))
-        else:
-            value = draw(engines if action.dest == "engines" else TOKENS)
+            return draw(_mostly(st.integers(-1, top).map(str), MALFORMED))
+        if action.dest in files:
+            return str(workdir / draw(files[action.dest]))
+        return draw(engines if action.dest == "engines" else TOKENS)
+
+    positionals, options, fmt = [], [], "edges"
+    for action in parser._actions:
+        if action.dest == "help" or not (action.required or draw(st.booleans())):
+            continue
         if not action.option_strings:
-            argv.append(value)
-        elif action.nargs == 0:
-            argv.append(action.option_strings[0])
-        else:
-            argv += [action.option_strings[0], value]
-    return argv + draw(_mostly(st.just([]), st.just(["--bogus"])))
+            positionals.append(value(action))
+            continue
+        option = action.option_strings[0]
+        spellings = _abbreviations(parser, option)
+        for _ in range(draw(_mostly(st.just(1), st.just(2)))):
+            spelling = draw(_mostly(st.just(option), st.sampled_from(spellings))) if spellings else option
+            if action.nargs == 0:
+                options.append(spelling)
+                continue
+            text = value(action)
+            fmt = text if action.dest == "format" else fmt
+            options += draw(_mostly(st.just([spelling, text]), st.just([f"{spelling}={text}"])))
+    placing = draw(_mostly(st.sampled_from(["first", "last"]), st.just("after --")))
+    if placing == "first":
+        argv = [command, *positionals, *options]
+    else:
+        argv = [command, *options, *(["--"] if placing == "after --" else []), *positionals]
+    return argv + draw(_mostly(st.just([]), st.just(["--bogus"]))), fmt
 
 
 def _write(path: Path, content) -> None:
@@ -147,8 +173,7 @@ def _drawn_job(data, certificate, env_budget):
     certificate files, under the test's vertex cap and the drawn node budget."""
     with tempfile.TemporaryDirectory() as scratch, pytest.MonkeyPatch.context() as patch:
         workdir = Path(scratch)
-        argv = data.draw(invocations(workdir), label="argv")
-        fmt = argv[argv.index("--format") + 1] if "--format" in argv else "edges"
+        argv, fmt = data.draw(invocations(workdir), label="argv")
         _write(workdir / "input", data.draw(_mostly(WELL_FORMED.get(fmt, ANY_TEXT), ANY_TEXT), label="input"))
         _write(workdir / "cert.json", certificate)
         patch.setattr(formats, "_VERTEX_CAP", CAP)
@@ -182,3 +207,12 @@ def test_every_invocation_answers_as_the_full_parser_does(data, certificate, env
         # a clock that stands still, so that ``--timings`` reports repeat
         patch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
         assert run_main(argv) == run_main(argv, reference=True), argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_an_argv_the_reader_takes_reads_as_the_full_parser_does(data):
+    argv, _ = data.draw(invocations(Path("scratch")), label="argv")
+    args = cli._read_argv(argv)
+    if args is not None:
+        assert vars(args) == vars(cli.build_parser().parse_args(argv)), argv
